@@ -15,6 +15,7 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
 echo "== tier-1: clang-tidy over src/ (see .clang-tidy) =="
+LINT_NOTE=""
 if command -v clang-tidy >/dev/null 2>&1; then
   # The standard build exports compile_commands.json (CMakeLists.txt sets
   # CMAKE_EXPORT_COMPILE_COMMANDS); run the tuned check set over every
@@ -22,7 +23,12 @@ if command -v clang-tidy >/dev/null 2>&1; then
   find src -name '*.cpp' -print0 \
     | xargs -0 -n 8 -P "$JOBS" clang-tidy -p "$BUILD_DIR" --quiet
 else
-  echo "clang-tidy not installed; skipping lint stanza (gcc -Werror still ran)"
+  # A missing linter is not a passing lint: say so here and in the verdict.
+  echo "################################################################"
+  echo "# clang-tidy: SKIPPED (not a pass) -- clang-tidy is not installed,"
+  echo "# so src/ was not linted. gcc -Werror still ran."
+  echo "################################################################"
+  LINT_NOTE=" (clang-tidy SKIPPED: not installed)"
 fi
 
 echo "== tier-1: ThreadSanitizer pass (parallel runner + thread pool + checkpoints + convergence + equivalence + archive commits + COW golden sharing + static pruning) =="
@@ -100,4 +106,4 @@ echo "== tier-1: static fault-space pruning benchmark (BENCH_static_prune.json) 
 cmake --build "$BUILD_DIR" -j "$JOBS" --target bench_static_prune
 "$BUILD_DIR"/bench/bench_static_prune --json "$BUILD_DIR"/BENCH_static_prune.json
 
-echo "tier-1: OK"
+echo "tier-1: OK${LINT_NOTE}"

@@ -210,12 +210,17 @@ class FaultInjectionAlgorithms {
 
   /// Golden-run builder behind BuildCheckpoints: runs the prepared
   /// campaign's fault-free workload, filling whichever products are
-  /// non-null — `cache` with full-state snapshots every `interval` retired
-  /// instructions up to the injection window, and `trace` with a
-  /// convergence-pruning record (per-boundary state digests at every
-  /// multiple of `interval` until termination, the golden final LoggedState,
-  /// and — for detail-mode campaigns — the golden per-instruction rows).
-  /// Requires PrepareCampaign.
+  /// non-null — `cache` with full-state snapshots at every multiple of
+  /// `interval` retired instructions strictly below inject_max_instr, and
+  /// `trace` with a convergence-pruning record (per-boundary state digests
+  /// at every multiple of `interval` until termination, the golden final
+  /// LoggedState, and — for detail-mode campaigns — the golden
+  /// per-instruction rows). Targets drive the workload through their
+  /// experiment run loop once, capturing both products at its loop-top
+  /// boundary hook, so the golden run follows the cold run's semantics by
+  /// construction; a target may take a second pass where one loop cannot
+  /// serve both products (ThorRdTarget in detail mode). Requires
+  /// PrepareCampaign.
   virtual util::Status BuildGoldenRun(uint64_t interval, CheckpointCache* cache,
                                       GoldenTrace* trace) {
     (void)interval;

@@ -28,6 +28,30 @@ struct Slot {
   int skipped_dead = 0;  ///< liveness-filter skips charged to this experiment
 };
 
+/// Digest of a full result-row set for spot-check comparison: name, parent,
+/// campaign, data and serialized state of every row, order-sensitive. The
+/// capture blob makes equal hashes mean equal rows.
+void HashRows(const std::vector<CampaignStore::ExperimentRow>& rows,
+              cpu::StateHasher* hasher) {
+  hasher->U64(rows.size());
+  for (const CampaignStore::ExperimentRow& row : rows) {
+    hasher->Str(row.experiment_name);
+    hasher->Str(row.parent_experiment);
+    hasher->Str(row.campaign_name);
+    hasher->Str(row.experiment_data);
+    hasher->Str(row.state.Serialize());
+  }
+}
+
+bool RowsIdentical(const std::vector<CampaignStore::ExperimentRow>& a,
+                   const std::vector<CampaignStore::ExperimentRow>& b) {
+  cpu::StateHasher hash_a(/*capture=*/true);
+  cpu::StateHasher hash_b(/*capture=*/true);
+  HashRows(a, &hash_a);
+  HashRows(b, &hash_b);
+  return hash_a.hash() == hash_b.hash() && hash_a.blob() == hash_b.blob();
+}
+
 }  // namespace
 
 ParallelCampaignRunner::ParallelCampaignRunner(CampaignStore* store,
@@ -157,13 +181,47 @@ util::Status ParallelCampaignRunner::Run(const std::string& campaign_name) {
   }
   if (pending.empty()) return util::Status::Ok();
 
+  // With classing on, plan every pending fault list on the committer's target:
+  // the same RNG stream and liveness-filter retries as execution, so the
+  // lists are exactly what a plain run would draw. Filter skips are recorded
+  // per experiment and charged when it commits, keeping Stats equal to
+  // serial. The planned experiments are partitioned into equivalence
+  // classes, and each class is one unit of worker work that executes only
+  // its representative. With classing off every pending experiment is its
+  // own unit, planned and run by its worker.
+  std::vector<std::vector<FaultInstance>> plans;
+  std::vector<int> plan_skips;
+  std::optional<EquivalenceClasser> classer;
   if (equivalence_classing_) {
-    return RunDeduped(campaign, pending, targets, reference_state);
+    FaultInjectionAlgorithms& spare = *targets.back();
+    plans.resize(pending.size());
+    plan_skips.resize(pending.size());
+    for (size_t pos = 0; pos < pending.size(); ++pos) {
+      const int dead_before = spare.stats().injections_skipped_dead;
+      auto faults = spare.PlanFaults(pending[pos]);
+      if (!faults.ok()) return faults.status();
+      plan_skips[pos] = spare.stats().injections_skipped_dead - dead_before;
+      plans[pos] = std::move(faults).value();
+    }
+    EquivalenceClasser::Config config;
+    config.technique = campaign.technique;
+    config.fault_model = campaign.fault_model;
+    config.faults_per_experiment = campaign.faults_per_experiment;
+    config.has_golden_end = true;
+    config.golden_end_instret = reference_state.instret;
+    config.static_analysis = equivalence_static_.get();
+    classer.emplace(equivalence_timeline_.get(), config);
+    for (size_t pos = 0; pos < pending.size(); ++pos) {
+      classer->Add(static_cast<int>(pos), plans[pos]);
+    }
+    dedup_stats_.classes_formed = classer->multi_member_classes();
   }
+  const size_t units = classer ? classer->classes().size() : pending.size();
 
-  // Dispatch: workers pull pending positions off a shared cursor; results
-  // land in per-position slots the committer drains in order.
-  std::vector<Slot> slots(pending.size());
+  // Dispatch: workers pull unit ids off a shared cursor; results land in
+  // per-unit slots the committer drains in pending order (classes are
+  // ordered by first member, so it drains them nearly in order too).
+  std::vector<Slot> slots(units);
   std::atomic<size_t> cursor{0};
   std::atomic<bool> cancel{false};
   std::mutex mutex;
@@ -173,10 +231,15 @@ util::Status ParallelCampaignRunner::Run(const std::string& campaign_name) {
     FaultInjectionAlgorithms& target = *targets[static_cast<size_t>(w)];
     for (;;) {
       if (cancel.load(std::memory_order_relaxed)) return;
-      const size_t pos = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (pos >= pending.size()) return;
+      const size_t unit = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (unit >= units) return;
       const int dead_before = target.stats().injections_skipped_dead;
-      auto rows = target.ExecuteExperiment(pending[pos]);
+      auto rows = [&]() {
+        if (!classer) return target.ExecuteExperiment(pending[unit]);
+        const auto rep =
+            static_cast<size_t>(classer->classes()[unit].representative);
+        return target.ExecutePlanned(pending[rep], plans[rep]);
+      }();
       Slot slot;
       slot.done = true;
       if (rows.ok()) {
@@ -188,7 +251,7 @@ util::Status ParallelCampaignRunner::Run(const std::string& campaign_name) {
           target.stats().injections_skipped_dead - dead_before;
       {
         std::lock_guard<std::mutex> lock(mutex);
-        slots[pos] = std::move(slot);
+        slots[unit] = std::move(slot);
       }
       slot_ready.notify_one();
     }
@@ -200,172 +263,17 @@ util::Status ParallelCampaignRunner::Run(const std::string& campaign_name) {
   }
 
   // Single-writer committer: strictly ordered, batched commits; progress
-  // callbacks (and early stop) ride this thread.
-  std::vector<CampaignStore::ExperimentRow> batch;
-  batch.reserve(static_cast<size_t>(batch_rows_));
-  util::Status error = util::Status::Ok();
-  auto flush = [&]() {
-    if (batch.empty()) return util::Status::Ok();
-    util::Status st = store_->PutExperiments(batch);
-    batch.clear();
-    return st;
+  // callbacks (and early stop) ride this thread. A unit's only experiment
+  // commits its rows as they are; a class representative commits a copy
+  // (later members still synthesize from it), and members commit rewritten
+  // rows. A representative whose detail log hit the row cap has no usable
+  // suffix, so its members fall back to live execution on the committer's
+  // target.
+  const auto rep_capped = [&](size_t unit) {
+    return classer->classes()[unit].suffix_filtered &&
+           slots[unit].rows.size() - 1 >=
+               FaultInjectionAlgorithms::kMaxDetailRows;
   };
-  for (size_t pos = 0; pos < pending.size() && error.ok(); ++pos) {
-    Slot slot;
-    {
-      std::unique_lock<std::mutex> lock(mutex);
-      slot_ready.wait(lock, [&]() { return slots[pos].done; });
-      slot = std::move(slots[pos]);
-    }
-    if (!slot.status.ok()) {
-      error = slot.status;
-      break;
-    }
-    const LoggedState last_state = slot.rows.front().state;
-    for (CampaignStore::ExperimentRow& row : slot.rows) {
-      batch.push_back(std::move(row));
-    }
-    ++stats_.experiments_run;
-    stats_.injections_skipped_dead += slot.skipped_dead;
-    if (static_cast<int>(batch.size()) >= batch_rows_) {
-      error = flush();
-      if (!error.ok()) break;
-    }
-    if (monitor_ != nullptr &&
-        !monitor_->OnExperiment(pending[pos] + 1, campaign.num_experiments,
-                                last_state)) {
-      util::Log::Info("campaign " + campaign_name + " ended by user after " +
-                      std::to_string(pending[pos] + 1) + " experiments");
-      break;  // early stop: later experiments are cancelled and discarded
-    }
-  }
-
-  cancel.store(true, std::memory_order_relaxed);
-  pool.Shutdown();
-
-  cpu::MemoryUsageAggregator memory_usage;
-  for (const auto& target : targets) {
-    warm_starts_ += target->warm_starts();
-    prune_stats_ += target->prune_stats();
-    if (const cpu::Memory* memory = target->TargetMemory()) {
-      memory_usage.Add(*memory);
-    }
-  }
-  memory_usage_ = memory_usage.totals();
-
-  // Commit what completed in order before reporting any error — the same
-  // prefix a serial run that failed at this experiment would have logged.
-  const util::Status flush_status = flush();
-  if (!error.ok()) return error;
-  return flush_status;
-}
-
-namespace {
-
-/// Digest of a full result-row set for spot-check comparison: name, parent,
-/// campaign, data and serialized state of every row, order-sensitive. The
-/// capture blob makes equal hashes mean equal rows.
-void HashRows(const std::vector<CampaignStore::ExperimentRow>& rows,
-              cpu::StateHasher* hasher) {
-  hasher->U64(rows.size());
-  for (const CampaignStore::ExperimentRow& row : rows) {
-    hasher->Str(row.experiment_name);
-    hasher->Str(row.parent_experiment);
-    hasher->Str(row.campaign_name);
-    hasher->Str(row.experiment_data);
-    hasher->Str(row.state.Serialize());
-  }
-}
-
-bool RowsIdentical(const std::vector<CampaignStore::ExperimentRow>& a,
-                   const std::vector<CampaignStore::ExperimentRow>& b) {
-  cpu::StateHasher hash_a(/*capture=*/true);
-  cpu::StateHasher hash_b(/*capture=*/true);
-  HashRows(a, &hash_a);
-  HashRows(b, &hash_b);
-  return hash_a.hash() == hash_b.hash() && hash_a.blob() == hash_b.blob();
-}
-
-}  // namespace
-
-util::Status ParallelCampaignRunner::RunDeduped(
-    const CampaignData& campaign, const std::vector<int>& pending,
-    std::vector<std::unique_ptr<FaultInjectionAlgorithms>>& targets,
-    const LoggedState& reference_state) {
-  const int workers = workers_used_;
-  FaultInjectionAlgorithms& spare = *targets.back();
-
-  // Plan every pending fault list on the committer's target: the same RNG
-  // stream and liveness-filter retries as execution, so the lists are
-  // exactly what a plain run would draw. Filter skips are recorded per
-  // experiment and charged when it commits, keeping Stats equal to serial.
-  std::vector<std::vector<FaultInstance>> plans(pending.size());
-  std::vector<int> plan_skips(pending.size(), 0);
-  for (size_t pos = 0; pos < pending.size(); ++pos) {
-    const int dead_before = spare.stats().injections_skipped_dead;
-    auto faults = spare.PlanFaults(pending[pos]);
-    if (!faults.ok()) return faults.status();
-    plan_skips[pos] = spare.stats().injections_skipped_dead - dead_before;
-    plans[pos] = std::move(faults).value();
-  }
-
-  EquivalenceClasser::Config config;
-  config.technique = campaign.technique;
-  config.fault_model = campaign.fault_model;
-  config.faults_per_experiment = campaign.faults_per_experiment;
-  config.has_golden_end = true;
-  config.golden_end_instret = reference_state.instret;
-  config.static_analysis = equivalence_static_.get();
-  EquivalenceClasser classer(equivalence_timeline_.get(), config);
-  for (size_t pos = 0; pos < pending.size(); ++pos) {
-    classer.Add(static_cast<int>(pos), plans[pos]);
-  }
-  const std::vector<EquivalenceClasser::Class>& classes = classer.classes();
-  dedup_stats_.classes_formed = classer.multi_member_classes();
-
-  // Dispatch: one slot per class; workers pull class ids off the cursor
-  // (classes are ordered by first member, so the committer drains them
-  // nearly in order) and execute only the representative.
-  std::vector<Slot> slots(classes.size());
-  std::atomic<size_t> cursor{0};
-  std::atomic<bool> cancel{false};
-  std::mutex mutex;
-  std::condition_variable slot_ready;
-
-  auto worker_main = [&](int w) {
-    FaultInjectionAlgorithms& target = *targets[static_cast<size_t>(w)];
-    for (;;) {
-      if (cancel.load(std::memory_order_relaxed)) return;
-      const size_t cid = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (cid >= classes.size()) return;
-      const int rep = classes[cid].representative;
-      auto rows = target.ExecutePlanned(pending[static_cast<size_t>(rep)],
-                                        plans[static_cast<size_t>(rep)]);
-      Slot slot;
-      slot.done = true;
-      if (rows.ok()) {
-        slot.rows = std::move(rows).value();
-      } else {
-        slot.status = rows.status();
-      }
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        slots[cid] = std::move(slot);
-      }
-      slot_ready.notify_one();
-    }
-  };
-
-  util::ThreadPool pool(workers);
-  for (int w = 0; w < workers; ++w) {
-    pool.Submit([&worker_main, w]() { worker_main(w); });
-  }
-
-  // Single-writer committer, strictly in pending order like the plain path.
-  // Representatives commit their own rows (copied — later members still
-  // synthesize from them); members commit rewritten rows. A representative
-  // whose detail log hit the row cap has no usable suffix, so its members
-  // fall back to live execution on the committer's target.
   std::vector<CampaignStore::ExperimentRow> batch;
   batch.reserve(static_cast<size_t>(batch_rows_));
   util::Status error = util::Status::Ok();
@@ -377,48 +285,45 @@ util::Status ParallelCampaignRunner::RunDeduped(
     return st;
   };
   for (size_t pos = 0; pos < pending.size() && error.ok(); ++pos) {
-    const size_t cid = classer.class_of(pos);
+    const size_t unit = classer ? classer->class_of(pos) : pos;
     {
       std::unique_lock<std::mutex> lock(mutex);
-      slot_ready.wait(lock, [&]() { return slots[cid].done; });
+      slot_ready.wait(lock, [&]() { return slots[unit].done; });
     }
     // Past the wait, the worker is done with this slot: reads are safe
     // without the lock, and the rows stay put for later members.
-    if (!slots[cid].status.ok()) {
-      error = slots[cid].status;
+    Slot& slot = slots[unit];
+    if (!slot.status.ok()) {
+      error = slot.status;
       break;
     }
-    const EquivalenceClasser::Class& cls = classes[cid];
-    const bool rep_capped =
-        cls.suffix_filtered &&
-        slots[cid].rows.size() - 1 >= FaultInjectionAlgorithms::kMaxDetailRows;
+    const EquivalenceClasser::Class* cls =
+        classer ? &classer->classes()[unit] : nullptr;
     std::vector<CampaignStore::ExperimentRow> rows;
-    if (static_cast<int>(pos) == cls.representative) {
-      if (cls.members.size() == 1) {
-        rows = std::move(slots[cid].rows);
-      } else {
-        rows = slots[cid].rows;
-      }
-    } else if (rep_capped) {
-      auto executed = spare.ExecutePlanned(pending[pos], plans[pos]);
+    if (cls == nullptr || cls->members.size() == 1) {
+      rows = std::move(slot.rows);
+    } else if (static_cast<int>(pos) == cls->representative) {
+      rows = slot.rows;
+    } else if (rep_capped(unit)) {
+      auto executed = targets.back()->ExecutePlanned(pending[pos], plans[pos]);
       if (!executed.ok()) {
         error = executed.status();
         break;
       }
       rows = std::move(executed).value();
     } else {
-      rows = SynthesizeMemberRows(slots[cid].rows, campaign,
-                                  pending[pos], plans[pos],
-                                  cls.suffix_filtered);
+      rows = SynthesizeMemberRows(slot.rows, campaign, pending[pos],
+                                  plans[pos], cls->suffix_filtered);
       ++dedup_stats_.experiments_synthesized;
-      if (cls.static_no_effect) ++dedup_stats_.static_synthesized;
+      if (cls->static_no_effect) ++dedup_stats_.static_synthesized;
     }
     const LoggedState last_state = rows.front().state;
     for (CampaignStore::ExperimentRow& row : rows) {
       batch.push_back(std::move(row));
     }
     ++stats_.experiments_run;
-    stats_.injections_skipped_dead += plan_skips[pos];
+    stats_.injections_skipped_dead +=
+        classer ? plan_skips[pos] : slot.skipped_dead;
     if (static_cast<int>(batch.size()) >= batch_rows_) {
       error = flush();
       if (!error.ok()) break;
@@ -429,7 +334,7 @@ util::Status ParallelCampaignRunner::RunDeduped(
       util::Log::Info("campaign " + campaign.name + " ended by user after " +
                       std::to_string(pending[pos] + 1) + " experiments");
       early_stop = true;
-      break;
+      break;  // early stop: later experiments are cancelled and discarded
     }
   }
 
@@ -440,16 +345,13 @@ util::Status ParallelCampaignRunner::RunDeduped(
   // member of every n-th multi-member class and require its rows to be
   // byte-identical to the synthesis. Skipped after an error or early stop —
   // the classes past the stop never committed.
-  if (error.ok() && !early_stop && spot_check_every_ > 0) {
+  if (classer && error.ok() && !early_stop && spot_check_every_ > 0) {
+    const std::vector<EquivalenceClasser::Class>& classes = classer->classes();
     int64_t eligible = 0;
     for (size_t cid = 0; cid < classes.size() && error.ok(); ++cid) {
       const EquivalenceClasser::Class& cls = classes[cid];
       if (cls.members.size() < 2) continue;
-      const bool rep_capped =
-          cls.suffix_filtered &&
-          slots[cid].rows.size() - 1 >=
-              FaultInjectionAlgorithms::kMaxDetailRows;
-      if (rep_capped) continue;  // members ran live; nothing synthesized
+      if (rep_capped(cid)) continue;  // members ran live; nothing synthesized
       if ((eligible++ % spot_check_every_) != 0) continue;
       int member = -1;
       for (int m : cls.members) {
@@ -460,22 +362,19 @@ util::Status ParallelCampaignRunner::RunDeduped(
       }
       if (member < 0) continue;
       ++dedup_stats_.spot_checks_run;
-      auto actual = spare.ExecutePlanned(pending[static_cast<size_t>(member)],
-                                         plans[static_cast<size_t>(member)]);
+      const auto pos = static_cast<size_t>(member);
+      auto actual = targets.back()->ExecutePlanned(pending[pos], plans[pos]);
       if (!actual.ok()) {
         error = actual.status();
         break;
       }
       const std::vector<CampaignStore::ExperimentRow> expected =
-          SynthesizeMemberRows(slots[cid].rows, campaign,
-                               pending[static_cast<size_t>(member)],
-                               plans[static_cast<size_t>(member)],
-                               cls.suffix_filtered);
+          SynthesizeMemberRows(slots[cid].rows, campaign, pending[pos],
+                               plans[pos], cls.suffix_filtered);
       if (!RowsIdentical(expected, actual.value())) {
         error = util::Internal(
             "equivalence spot check failed: synthesized rows for " +
-            CampaignStore::ExperimentName(
-                campaign.name, pending[static_cast<size_t>(member)]) +
+            CampaignStore::ExperimentName(campaign.name, pending[pos]) +
             " differ from a live re-execution");
         break;
       }
@@ -493,6 +392,8 @@ util::Status ParallelCampaignRunner::RunDeduped(
   }
   memory_usage_ = memory_usage.totals();
 
+  // Commit what completed in order before reporting any error — the same
+  // prefix a serial run that failed at this experiment would have logged.
   const util::Status flush_status = flush();
   if (!error.ok()) return error;
   return flush_status;

@@ -12,7 +12,8 @@
 //   - N workers, each with its own target built by a TargetFactory (TRD32
 //     CPU + scan logic + test card + TargetSystemInterface) — no simulator
 //     state is shared between threads;
-//   - a shared atomic cursor hands out pending experiment indices;
+//   - a shared atomic cursor hands out units of work: pending experiments,
+//     or whole equivalence classes when classing is on;
 //   - results flow to a single committer (the thread that called Run),
 //     which commits them to CampaignStore strictly in experiment order and
 //     in batches (CampaignStore::PutExperiments), and invokes the
@@ -159,14 +160,6 @@ class ParallelCampaignRunner {
   int workers_used() const { return workers_used_; }
 
  private:
-  /// The dedup dispatch path: one work unit per equivalence class, member
-  /// rows synthesized in commit order. `targets` holds one extra target (the
-  /// committer's own) past the worker-owned ones.
-  util::Status RunDeduped(
-      const CampaignData& campaign, const std::vector<int>& pending,
-      std::vector<std::unique_ptr<FaultInjectionAlgorithms>>& targets,
-      const LoggedState& reference_state);
-
   CampaignStore* store_;
   TargetFactory factory_;
   int num_workers_;

@@ -255,102 +255,34 @@ util::Status SwifiSimTarget::BuildGoldenRun(uint64_t interval,
   if (interval == 0 || (cache == nullptr && trace == nullptr)) {
     return util::InvalidArgument("checkpoint interval must be positive");
   }
-  if (cache != nullptr) {
-    GOOFI_RETURN_IF_ERROR(BuildCheckpointPass(interval, cache));
-  }
-  if (trace != nullptr) {
-    GOOFI_RETURN_IF_ERROR(BuildTracePass(interval, trace));
-  }
-  return util::Status::Ok();
-}
-
-util::Status SwifiSimTarget::BuildCheckpointPass(uint64_t interval,
-                                                 CheckpointCache* cache) {
-  // Golden run: the fault-free workload, stepped with exactly the semantics
-  // of RunUntil. Captures happen at the loop top — the same program point a
-  // cold WaitForBreakpoint stops at — so the state at instret N here is
-  // bit-for-bit the state a cold experiment passes through at instret N.
-  faults_.clear();
-  warm_ready_workload_.clear();
-  GOOFI_RETURN_IF_ERROR(EnsureWarmBaseline());
-  cpu_->Reset(program_.entry);  // RunWorkload, minus re-downloading memory
-  uint64_t next_capture = 0;
-  if (use_fast_run_) {
-    // Fast-forward between capture points with the superblock primitive;
-    // stops land exactly where the stepped loop below would act (capture
-    // crossings, boundary iterations, timeout, halt/detection).
-    cpu::RunFastRequest request;
-    request.max_cycles = std::max<uint64_t>(campaign_.timeout_cycles, 1);
-    if (environment_ != nullptr) {
-      request.watch_pc_enabled = true;
-      request.watch_pc = loop_end_addr_;
-    }
-    for (;;) {
-      if (Terminated()) break;
-      if (cpu_->instructions_retired() >= next_capture) {
-        GOOFI_RETURN_IF_ERROR(CaptureCheckpoint(cache));
-        next_capture = cpu_->instructions_retired() + interval;
-        if (next_capture >= campaign_.inject_max_instr) break;
-      }
-      request.max_instret = next_capture;
-      const cpu::RunFastResult fast = cpu_->RunFastEx(request);
-      if (environment_ != nullptr && fast.exec_pc == loop_end_addr_) {
-        GOOFI_RETURN_IF_ERROR(ServiceIteration());
-      }
-      if (cpu_->cycles() >= campaign_.timeout_cycles) {
-        timed_out_ = true;
-        break;
-      }
-      if (fast.outcome != cpu::StepOutcome::kOk) break;
-    }
-    return util::Status::Ok();
-  }
-  for (;;) {
-    if (Terminated()) break;
-    if (cpu_->instructions_retired() >= next_capture) {
-      GOOFI_RETURN_IF_ERROR(CaptureCheckpoint(cache));
-      next_capture = cpu_->instructions_retired() + interval;
-      // No experiment can use a checkpoint at or past inject_max_instr
-      // (FindBefore is strict), so stop the golden run there.
-      if (next_capture >= campaign_.inject_max_instr) break;
-    }
-    const uint32_t exec_pc = cpu_->pc();
-    const cpu::StepOutcome outcome = cpu_->Step();
-    // RunUntil services the boundary iteration even when the step faulted —
-    // the exchange happens before the outcome is inspected. Mirror that.
-    if (environment_ != nullptr && exec_pc == loop_end_addr_) {
-      GOOFI_RETURN_IF_ERROR(ServiceIteration());
-    }
-    if (cpu_->cycles() >= campaign_.timeout_cycles) {
-      timed_out_ = true;
-      break;  // the golden run hit the campaign timeout; checkpoints end here
-    }
-    if (outcome != cpu::StepOutcome::kOk) break;
-  }
-  return util::Status::Ok();
-}
-
-util::Status SwifiSimTarget::BuildTracePass(uint64_t interval,
-                                            GoldenTrace* trace) {
-  trace->set_interval(interval);
-  trace->set_campaign_name(campaign_.name);
   // Drive the fault-free workload through RunUntil with boundary capture
-  // active, then run the standard experiment epilogue so the golden final
-  // state is row-identical to a full fault-free experiment. This target
-  // never logs detail rows, so the trace carries none (and needs none for
-  // detail-mode synthesis).
+  // active; the experiment loop itself decides every stop.
   faults_.clear();
   warm_ready_workload_.clear();
   GOOFI_RETURN_IF_ERROR(EnsureWarmBaseline());
   cpu_->Reset(program_.entry);  // RunWorkload, minus re-downloading memory
+  if (trace != nullptr) {
+    trace->set_interval(interval);
+    trace->set_campaign_name(campaign_.name);
+  }
+  golden_interval_ = interval;
+  capture_cache_ = cache;
   capture_trace_ = trace;
   prune_active_ = true;
   converged_ = false;
   prune_next_check_ = 0;  // first capture at instret 0, then every interval
   const util::Status run = RunUntil(0);
+  golden_interval_ = 0;
+  capture_cache_ = nullptr;
   capture_trace_ = nullptr;
   prune_active_ = false;
+  converged_ = false;
   GOOFI_RETURN_IF_ERROR(run);
+  if (trace == nullptr) return util::Status::Ok();
+  // The standard experiment epilogue, so the golden final state is row-
+  // identical to a full fault-free experiment. This target never logs detail
+  // rows, so the trace carries none (and needs none for detail-mode
+  // synthesis).
   GOOFI_RETURN_IF_ERROR(ReadMemory());
   auto state = CollectState();
   if (!state.ok()) return state.status();
@@ -386,16 +318,25 @@ bool SwifiSimTarget::CanPruneExperiment() const {
 
 util::Status SwifiSimTarget::AtBoundary() {
   const uint64_t instret = cpu_->instructions_retired();
-  if (capture_trace_ != nullptr) {
-    cpu::StateHasher hasher(/*capture=*/true);
-    GOOFI_RETURN_IF_ERROR(HashTargetNow(&hasher));
-    GoldenBoundary boundary;
-    boundary.instret = instret;
-    boundary.hash = hasher.hash();
-    boundary.blob = hasher.TakeBlob();
-    capture_trace_->AddBoundary(std::move(boundary));
-    prune_next_check_ =
-        (instret / capture_trace_->interval() + 1) * capture_trace_->interval();
+  if (golden_interval_ != 0) {
+    // Golden pass (see ThorRdTarget::AtBoundary).
+    if (capture_cache_ != nullptr) {
+      GOOFI_RETURN_IF_ERROR(CaptureCheckpoint(capture_cache_));
+      if (instret + golden_interval_ >= campaign_.inject_max_instr) {
+        capture_cache_ = nullptr;
+        if (capture_trace_ == nullptr) converged_ = true;
+      }
+    }
+    if (capture_trace_ != nullptr) {
+      cpu::StateHasher hasher(/*capture=*/true);
+      GOOFI_RETURN_IF_ERROR(HashTargetNow(&hasher));
+      GoldenBoundary boundary;
+      boundary.instret = instret;
+      boundary.hash = hasher.hash();
+      boundary.blob = hasher.TakeBlob();
+      capture_trace_->AddBoundary(std::move(boundary));
+    }
+    prune_next_check_ = (instret / golden_interval_ + 1) * golden_interval_;
     return util::Status::Ok();
   }
   const uint64_t interval = golden_trace_->interval();

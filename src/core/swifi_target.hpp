@@ -52,8 +52,10 @@ class SwifiSimTarget : public FrameworkTarget {
   /// Checkpoint fast-forward support: the golden run snapshots the CPU
   /// (registers, caches, memory delta) plus the environment simulator,
   /// iteration count and actuator CRC. SCIFI is not offered by this target,
-  /// so only runtime SWIFI campaigns warm-start. The same builder records
-  /// the convergence-pruning GoldenTrace when asked for one.
+  /// so only runtime SWIFI campaigns warm-start. The same pass records the
+  /// convergence-pruning GoldenTrace when asked for one: BuildGoldenRun
+  /// drives the fault-free workload through RunUntil once, with the loop-top
+  /// boundary hook filling both products.
   bool SupportsCheckpoints() const override { return true; }
   util::Status BuildGoldenRun(uint64_t interval, CheckpointCache* cache,
                               GoldenTrace* trace) override;
@@ -101,13 +103,6 @@ class SwifiSimTarget : public FrameworkTarget {
   /// MarkMemoryBaseline), once per workload per target instance.
   util::Status EnsureWarmBaseline();
   util::Status CaptureCheckpoint(CheckpointCache* cache);
-  /// Fills the checkpoint cache (stops at the injection window) — the
-  /// `cache` half of BuildGoldenRun.
-  util::Status BuildCheckpointPass(uint64_t interval, CheckpointCache* cache);
-  /// Records the GoldenTrace by driving the fault-free workload through
-  /// RunUntil with boundary capture active — the `trace` half of
-  /// BuildGoldenRun.
-  util::Status BuildTracePass(uint64_t interval, GoldenTrace* trace);
   /// Digests everything that can shape the rest of this experiment: the
   /// CPU's full execution state plus the host-side per-experiment
   /// accumulators (actuator CRC, iteration count, plant state).
@@ -116,7 +111,7 @@ class SwifiSimTarget : public FrameworkTarget {
   /// convergence pruning against the installed golden trace.
   bool CanPruneExperiment() const;
   /// Boundary action for RunUntil when prune_next_check_ is reached:
-  /// capture (golden trace pass) or compare-and-maybe-converge
+  /// capture (golden pass) or compare-and-maybe-converge
   /// (experiment). Advances prune_next_check_; may set converged_ or clear
   /// prune_active_.
   util::Status AtBoundary();
@@ -145,7 +140,11 @@ class SwifiSimTarget : public FrameworkTarget {
   bool converged_ = false;
   uint64_t prune_next_check_ = 0;
   LoggedState synth_state_;
-  GoldenTrace* capture_trace_ = nullptr;  ///< non-null during BuildTracePass
+  // Golden-pass products; golden_interval_ is nonzero only during
+  // BuildGoldenRun.
+  uint64_t golden_interval_ = 0;
+  CheckpointCache* capture_cache_ = nullptr;
+  GoldenTrace* capture_trace_ = nullptr;
 
   // First post-injection boundary whose state diverged from golden: the
   // cross-experiment memo candidate, inserted in CollectState.

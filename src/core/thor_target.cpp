@@ -367,122 +367,52 @@ util::Status ThorRdTarget::BuildGoldenRun(uint64_t interval,
   if (interval == 0 || (cache == nullptr && trace == nullptr)) {
     return util::InvalidArgument("checkpoint interval must be positive");
   }
-  if (cache != nullptr) {
-    GOOFI_RETURN_IF_ERROR(BuildCheckpointPass(interval, cache));
-  }
   if (trace != nullptr) {
-    GOOFI_RETURN_IF_ERROR(BuildTracePass(interval, trace));
+    trace->set_interval(interval);
+    trace->set_campaign_name(campaign_.name);
+    // A card without state-hash support leaves the trace without a final
+    // state, which CanPruneExperiment treats as "pruning unavailable".
+    if (!card_->SupportsStateHash()) trace = nullptr;
   }
-  return util::Status::Ok();
+  if (campaign_.log_mode == LogMode::kDetail && cache != nullptr &&
+      trace != nullptr) {
+    // Detail mode records its trace through RunLoopDetail, whose per-step
+    // scan reads draw from the link-noise RNG on a noisy link. A cold
+    // experiment reaches its injection point through RunLoop, and a card
+    // snapshot includes that RNG, so the cache takes a RunLoop pass of its
+    // own.
+    GOOFI_RETURN_IF_ERROR(GoldenPass(interval, cache, nullptr));
+    cache = nullptr;
+  }
+  if (cache == nullptr && trace == nullptr) return util::Status::Ok();
+  return GoldenPass(interval, cache, trace);
 }
 
-util::Status ThorRdTarget::BuildCheckpointPass(uint64_t interval,
-                                               CheckpointCache* cache) {
-  // Golden run: the fault-free workload, stepped with exactly the semantics
-  // of RunLoop (service an iteration only when the step at the loop boundary
-  // completed normally; trigger servicing outranks the cycle timeout). The
-  // state at instret N here is bit-for-bit the state a cold experiment
-  // passes through at instret N on its way to the injection breakpoint.
-  faults_.clear();
-  warm_ready_workload_.clear();
-  GOOFI_RETURN_IF_ERROR(EnsureWarmBaseline());
-  GOOFI_RETURN_IF_ERROR(card_->ResetTarget());
-  uint64_t next_capture = 0;
-  if (card_->use_fast_run()) {
-    // Fast-forward through the predecoded superblock path. The reference
-    // loop's exit tests compile directly into a RunFastRequest: the capture
-    // threshold is an instret budget (level-compared, exactly like the
-    // pre-step check below), the campaign timeout a cycle budget (0 means
-    // unbounded here, matching the `timeout_cycles != 0` guard), and the
-    // iteration boundary a pc watch, so ServiceIteration runs after exactly
-    // the retirements single-stepping would service.
-    cpu::Cpu& cpu = card_->mutable_cpu();
-    for (;;) {
-      if (Terminated()) break;
-      if (cpu.instructions_retired() >= next_capture) {
-        GOOFI_RETURN_IF_ERROR(CaptureCheckpoint(cache));
-        next_capture = cpu.instructions_retired() + interval;
-        if (next_capture >= campaign_.inject_max_instr) break;
-      }
-      cpu::RunFastRequest request;
-      request.max_instret = next_capture;
-      request.max_cycles = campaign_.timeout_cycles;
-      if (environment_ != nullptr) {
-        request.watch_pc = loop_end_addr_;
-        request.watch_pc_enabled = true;
-      }
-      const cpu::RunFastResult fast = cpu.RunFastEx(request);
-      // Same branch order as the stepped loop: the boundary's own outcome
-      // check, then service, then the generic outcome and timeout tests.
-      if (environment_ != nullptr && fast.exec_pc == loop_end_addr_) {
-        if (fast.outcome != cpu::StepOutcome::kOk) break;
-        GOOFI_RETURN_IF_ERROR(ServiceIteration());
-        if (iterations_ >= campaign_.max_iterations) break;
-        continue;
-      }
-      if (fast.outcome != cpu::StepOutcome::kOk) break;
-      if (campaign_.timeout_cycles != 0 &&
-          cpu.cycles() >= campaign_.timeout_cycles) {
-        break;
-      }
-    }
-    return util::Status::Ok();
-  }
-  for (;;) {
-    if (Terminated()) break;
-    if (card_->cpu().instructions_retired() >= next_capture) {
-      GOOFI_RETURN_IF_ERROR(CaptureCheckpoint(cache));
-      next_capture = card_->cpu().instructions_retired() + interval;
-      // No experiment can use a checkpoint at or past inject_max_instr
-      // (FindBefore is strict), so stop the golden run there.
-      if (next_capture >= campaign_.inject_max_instr) break;
-    }
-    const uint32_t exec_pc = card_->cpu().pc();
-    const cpu::StepOutcome outcome = card_->SingleStep();
-    if (environment_ != nullptr && exec_pc == loop_end_addr_) {
-      if (outcome != cpu::StepOutcome::kOk) break;
-      GOOFI_RETURN_IF_ERROR(ServiceIteration());
-      if (iterations_ >= campaign_.max_iterations) break;
-      continue;
-    }
-    if (outcome != cpu::StepOutcome::kOk) break;
-    if (campaign_.timeout_cycles != 0 &&
-        card_->cpu().cycles() >= campaign_.timeout_cycles) {
-      break;  // the golden run hit the campaign timeout; checkpoints end here
-    }
-  }
-  return util::Status::Ok();
-}
-
-util::Status ThorRdTarget::BuildTracePass(uint64_t interval,
-                                          GoldenTrace* trace) {
-  trace->set_interval(interval);
-  trace->set_campaign_name(campaign_.name);
-  // A card without state-hash support leaves the trace without a final
-  // state, which CanPruneExperiment treats as "pruning unavailable".
-  if (!card_->SupportsStateHash()) return util::Status::Ok();
-  // Drive the fault-free workload through the *experiment* run loops with
-  // boundary capture active. Reusing RunLoop/RunLoopDetail (rather than a
-  // bespoke golden loop) guarantees that boundary program points, the
-  // branch-order corner cases around iteration servicing, and the final
-  // outcome (including timed_out) are exactly what a converging faulty run
-  // reaches.
+util::Status ThorRdTarget::GoldenPass(uint64_t interval, CheckpointCache* cache,
+                                      GoldenTrace* trace) {
   faults_.clear();
   warm_ready_workload_.clear();
   GOOFI_RETURN_IF_ERROR(EnsureWarmBaseline());
   GOOFI_RETURN_IF_ERROR(card_->ResetTarget());
   detail_log_.clear();
+  golden_interval_ = interval;
+  capture_cache_ = cache;
   capture_trace_ = trace;
   prune_active_ = true;
   converged_ = false;
   prune_next_check_ = 0;  // first capture at instret 0, then every interval
   ArmTriggers(/*with_injection_breakpoint=*/false, /*with_reactivation=*/false);
-  const util::Status run = campaign_.log_mode == LogMode::kDetail
-                               ? RunLoopDetail()
-                               : RunLoop(/*stop_at_breakpoint=*/false);
+  const bool detail =
+      trace != nullptr && campaign_.log_mode == LogMode::kDetail;
+  const util::Status run =
+      detail ? RunLoopDetail() : RunLoop(/*stop_at_breakpoint=*/false);
+  golden_interval_ = 0;
+  capture_cache_ = nullptr;
   capture_trace_ = nullptr;
   prune_active_ = false;
+  converged_ = false;
   GOOFI_RETURN_IF_ERROR(run);
+  if (trace == nullptr) return util::Status::Ok();
   // The standard experiment epilogue, so the golden final state is row-
   // identical to what a full fault-free experiment would log.
   GOOFI_RETURN_IF_ERROR(ReadMemory());
@@ -490,7 +420,7 @@ util::Status ThorRdTarget::BuildTracePass(uint64_t interval,
   auto state = CollectState();
   if (!state.ok()) return state.status();
   trace->SetFinalState(std::move(state).value());
-  if (campaign_.log_mode == LogMode::kDetail) {
+  if (detail) {
     // A golden run truncated by the row cap has no usable suffix: a faulty
     // run converging late would need rows the trace never recorded.
     trace->set_detail_complete(
@@ -540,18 +470,28 @@ bool ThorRdTarget::CanPruneExperiment() const {
 
 util::Status ThorRdTarget::AtBoundary() {
   const uint64_t instret = card_->cpu().instructions_retired();
-  if (capture_trace_ != nullptr) {
-    // Golden trace pass: record the digest (and its capture blob, the
-    // collision guard) at this boundary.
-    cpu::StateHasher hasher(/*capture=*/true);
-    GOOFI_RETURN_IF_ERROR(HashTargetNow(&hasher));
-    GoldenBoundary boundary;
-    boundary.instret = instret;
-    boundary.hash = hasher.hash();
-    boundary.blob = hasher.TakeBlob();
-    capture_trace_->AddBoundary(std::move(boundary));
-    prune_next_check_ =
-        (instret / capture_trace_->interval() + 1) * capture_trace_->interval();
+  if (golden_interval_ != 0) {
+    // Golden pass. Checkpoints stop at the injection window: no experiment
+    // can use one at or past inject_max_instr (FindBefore is strict).
+    if (capture_cache_ != nullptr) {
+      GOOFI_RETURN_IF_ERROR(CaptureCheckpoint(capture_cache_));
+      if (instret + golden_interval_ >= campaign_.inject_max_instr) {
+        capture_cache_ = nullptr;
+        // Nothing left to record: end a cache-only pass here.
+        if (capture_trace_ == nullptr) converged_ = true;
+      }
+    }
+    if (capture_trace_ != nullptr) {
+      // Record the digest (and its capture blob, the collision guard).
+      cpu::StateHasher hasher(/*capture=*/true);
+      GOOFI_RETURN_IF_ERROR(HashTargetNow(&hasher));
+      GoldenBoundary boundary;
+      boundary.instret = instret;
+      boundary.hash = hasher.hash();
+      boundary.blob = hasher.TakeBlob();
+      capture_trace_->AddBoundary(std::move(boundary));
+    }
+    prune_next_check_ = (instret / golden_interval_ + 1) * golden_interval_;
     return util::Status::Ok();
   }
   const uint64_t interval = golden_trace_->interval();

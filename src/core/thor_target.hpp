@@ -38,9 +38,10 @@ class ThorRdTarget : public FaultInjectionAlgorithms {
 
   /// Checkpoint fast-forward support: the golden run snapshots the full
   /// card state (CPU, caches, memory delta, TAP, debug unit) plus the
-  /// environment simulator, iteration count and actuator CRC. The same
-  /// builder records the convergence-pruning GoldenTrace (per-boundary state
-  /// digests + golden final outcome) when asked for one.
+  /// environment simulator, iteration count and actuator CRC. The same pass
+  /// records the convergence-pruning GoldenTrace (per-boundary state digests
+  /// + golden final outcome) when asked for one; only a detail-mode build of
+  /// both products takes a second pass (see GoldenPass).
   bool SupportsCheckpoints() const override { return true; }
   util::Status BuildGoldenRun(uint64_t interval, CheckpointCache* cache,
                               GoldenTrace* trace) override;
@@ -105,16 +106,14 @@ class ThorRdTarget : public FaultInjectionAlgorithms {
   /// Captures the current golden-run state into `cache`.
   util::Status CaptureCheckpoint(CheckpointCache* cache);
 
-  /// Fills the checkpoint cache (the PR2 golden pass, stops at the injection
-  /// window) — the `cache` half of BuildGoldenRun.
-  util::Status BuildCheckpointPass(uint64_t interval, CheckpointCache* cache);
-
-  /// Records the GoldenTrace by driving the fault-free workload through the
-  /// *experiment* run loops (RunLoop/RunLoopDetail) with boundary capture
-  /// active — the `trace` half of BuildGoldenRun. Using the experiment loops
-  /// guarantees boundary program points and the final outcome match what a
-  /// converging faulty run would reach, branch-order corner cases included.
-  util::Status BuildTracePass(uint64_t interval, GoldenTrace* trace);
+  /// One golden pass: the fault-free workload driven through the experiment
+  /// run loop (RunLoopDetail when recording a detail-mode `trace`, RunLoop
+  /// otherwise) with the loop-top boundary hook filling `cache` and/or
+  /// `trace`. Using the experiment loops guarantees the boundary program
+  /// points, the branch-order corner cases around iteration servicing and
+  /// the final outcome are exactly what an experiment reaches.
+  util::Status GoldenPass(uint64_t interval, CheckpointCache* cache,
+                          GoldenTrace* trace);
 
   /// Digests everything that can shape the rest of this experiment: the card
   /// state (CPU + conditional link-noise RNG) plus the host-side per-
@@ -126,7 +125,7 @@ class ThorRdTarget : public FaultInjectionAlgorithms {
   bool CanPruneExperiment() const;
 
   /// Boundary action for the run loops when prune_next_check_ is reached:
-  /// capture (golden trace pass) or compare-and-maybe-converge (experiment).
+  /// capture (golden pass) or compare-and-maybe-converge (experiment).
   /// Advances prune_next_check_ to the next interval multiple; may set
   /// converged_ or clear prune_active_. Does not re-arm triggers.
   util::Status AtBoundary();
@@ -171,7 +170,10 @@ class ThorRdTarget : public FaultInjectionAlgorithms {
   uint64_t prune_next_check_ = 0;
   bool reactivation_armed_ = false;
   LoggedState synth_state_;
-  GoldenTrace* capture_trace_ = nullptr;  ///< non-null during BuildTracePass
+  // Golden-pass products; golden_interval_ is nonzero only during GoldenPass.
+  uint64_t golden_interval_ = 0;
+  CheckpointCache* capture_cache_ = nullptr;
+  GoldenTrace* capture_trace_ = nullptr;
 
   // First post-injection boundary whose state diverged from golden: the
   // cross-experiment memo candidate, inserted with the experiment's final

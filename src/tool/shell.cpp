@@ -50,6 +50,35 @@ const char* const kHelpText =
 
 }  // namespace
 
+/// Where a classing run command takes its equivalence classes from.
+enum class Shell::ClassSource { kNone, kTimeline, kStatic };
+
+/// One runner-backed run command: its grammar is `<name> <campaign>
+/// [workers]`, plus `[interval]` where `takes_interval` is set, and every
+/// other field selects a ParallelCampaignRunner feature.
+struct Shell::RunCommand {
+  const char* name;
+  const char* usage;
+  bool takes_interval;
+  int default_workers;  ///< 0 = hardware concurrency
+  bool warm;            ///< force checkpoint warm start
+  bool pruned;          ///< convergence pruning
+  ClassSource classes;  ///< equivalence classing, when not kNone
+};
+
+const Shell::RunCommand Shell::kRunCommands[] = {
+    {"run-parallel", "run-parallel <campaign> [workers]", false, 0, false,
+     false, ClassSource::kNone},
+    {"run-warm", "run-warm <campaign> [workers] [interval]", true, 1, true,
+     false, ClassSource::kNone},
+    {"run-pruned", "run-pruned <campaign> [workers] [interval]", true, 1, true,
+     true, ClassSource::kNone},
+    {"run-dedup", "run-dedup <campaign> [workers]", false, 1, true, true,
+     ClassSource::kTimeline},
+    {"run-static", "run-static <campaign> [workers]", false, 1, true, true,
+     ClassSource::kStatic},
+};
+
 Shell::Shell(db::Database* db, core::CampaignStore* store)
     : db_(db), store_(store) {}
 
@@ -301,189 +330,29 @@ util::Result<std::string> Shell::CmdRun(const std::vector<std::string>& args) {
   if (!target.ok()) return target.status();
   GOOFI_RETURN_IF_ERROR(target.value().algorithms->RunCampaign(args[0]));
   const auto& stats = target.value().algorithms->stats();
-  last_run_ = LastRun{};
-  last_run_.valid = true;
-  last_run_.campaign = args[0];
-  last_run_.mode = "run";
-  last_run_.stats = stats;
-  last_run_.warm_starts = target.value().algorithms->warm_starts();
-  last_run_.prune = target.value().algorithms->prune_stats();
   cpu::MemoryUsageAggregator memory_usage;
   if (const cpu::Memory* memory = target.value().algorithms->TargetMemory()) {
     memory_usage.Add(*memory);
   }
-  last_run_.memory = memory_usage.totals();
+  last_run_ = LastRun{true,
+                      args[0],
+                      "run",
+                      stats,
+                      target.value().algorithms->warm_starts(),
+                      target.value().algorithms->prune_stats(),
+                      {},
+                      memory_usage.totals()};
   return util::Format("campaign %s: %d experiments run, %d resumed\n",
                       args[0].c_str(), stats.experiments_run,
                       stats.experiments_resumed);
 }
 
-util::Result<std::string> Shell::CmdRunParallel(
-    const std::vector<std::string>& args) {
-  if (args.empty() || args.size() > 2) {
-    return util::InvalidArgument("run-parallel <campaign> [workers]");
+util::Result<std::string> Shell::RunWithRunner(
+    const RunCommand& command, const std::vector<std::string>& args) {
+  if (args.empty() || args.size() > (command.takes_interval ? 3u : 2u)) {
+    return util::InvalidArgument(command.usage);
   }
-  int workers = 0;  // 0 = hardware concurrency
-  if (args.size() == 2) {
-    const auto parsed = util::ParseInt(args[1]);
-    if (!parsed || *parsed < 1) {
-      return util::InvalidArgument("workers must be a positive number");
-    }
-    workers = static_cast<int>(*parsed);
-  }
-  auto target = FindTargetFor(args[0]);
-  if (!target.ok()) return target.status();
-  if (!target.value().factory) {
-    return util::FailedPrecondition(
-        "target of campaign " + args[0] +
-        " was registered without a parallel target factory");
-  }
-  core::ParallelCampaignRunner runner(store_, target.value().factory, workers);
-  GOOFI_RETURN_IF_ERROR(runner.Run(args[0]));
-  const auto& stats = runner.stats();
-  last_run_ = LastRun{};
-  last_run_.valid = true;
-  last_run_.campaign = args[0];
-  last_run_.mode = "run-parallel";
-  last_run_.stats = stats;
-  last_run_.warm_starts = runner.warm_starts();
-  last_run_.prune = runner.prune_stats();
-  last_run_.memory = runner.memory_usage();
-  return util::Format(
-      "campaign %s: %d experiments run on %d workers, %d resumed\n",
-      args[0].c_str(), stats.experiments_run, runner.workers_used(),
-      stats.experiments_resumed);
-}
-
-util::Result<std::string> Shell::CmdRunWarm(
-    const std::vector<std::string>& args) {
-  return RunWarmOrPruned(args, /*pruned=*/false);
-}
-
-util::Result<std::string> Shell::CmdRunPruned(
-    const std::vector<std::string>& args) {
-  return RunWarmOrPruned(args, /*pruned=*/true);
-}
-
-util::Result<std::string> Shell::CmdRunDedup(
-    const std::vector<std::string>& args) {
-  if (args.empty() || args.size() > 2) {
-    return util::InvalidArgument("run-dedup <campaign> [workers]");
-  }
-  int workers = 1;
-  if (args.size() == 2) {
-    const auto parsed = util::ParseInt(args[1]);
-    if (!parsed || *parsed < 1) {
-      return util::InvalidArgument("workers must be a positive number");
-    }
-    workers = static_cast<int>(*parsed);
-  }
-  auto target = FindTargetFor(args[0]);
-  if (!target.ok()) return target.status();
-  if (!target.value().factory) {
-    return util::FailedPrecondition(
-        "target of campaign " + args[0] +
-        " was registered without a parallel target factory");
-  }
-  auto campaign = store_->GetCampaign(args[0]);
-  if (!campaign.ok()) return campaign.status();
-  core::ParallelCampaignRunner runner(store_, target.value().factory, workers);
-  runner.SetForceWarmStart(true);
-  runner.SetConvergencePruning(true);
-  runner.SetEquivalenceClassing(true);
-  // The access timeline for window-based classes: a fault-free run of the
-  // campaign's workload on the target's configuration, memoized across
-  // campaigns. Bound by the campaign's own termination conditions so the
-  // timeline covers the whole golden run.
-  auto timeline = liveness_cache_.Get(
-      campaign.value().workload, target.value().config,
-      std::max<uint64_t>(200000, campaign.value().timeout_cycles),
-      campaign.value().max_iterations);
-  if (!timeline.ok()) return timeline.status();
-  runner.SetEquivalenceTimeline(timeline.value());
-  GOOFI_RETURN_IF_ERROR(runner.Run(args[0]));
-  const auto& stats = runner.stats();
-  last_run_ = LastRun{};
-  last_run_.valid = true;
-  last_run_.campaign = args[0];
-  last_run_.mode = "run-dedup";
-  last_run_.stats = stats;
-  last_run_.warm_starts = runner.warm_starts();
-  last_run_.prune = runner.prune_stats();
-  last_run_.dedup = runner.dedup_stats();
-  last_run_.memory = runner.memory_usage();
-  return util::Format(
-      "campaign %s: %d experiments run on %d workers (%lld classes, "
-      "%lld synthesized, %lld pruned), %d resumed\n",
-      args[0].c_str(), stats.experiments_run, runner.workers_used(),
-      static_cast<long long>(runner.dedup_stats().classes_formed),
-      static_cast<long long>(runner.dedup_stats().experiments_synthesized),
-      static_cast<long long>(runner.prune_stats().pruned_total()),
-      stats.experiments_resumed);
-}
-
-util::Result<std::string> Shell::CmdRunStatic(
-    const std::vector<std::string>& args) {
-  if (args.empty() || args.size() > 2) {
-    return util::InvalidArgument("run-static <campaign> [workers]");
-  }
-  int workers = 1;
-  if (args.size() == 2) {
-    const auto parsed = util::ParseInt(args[1]);
-    if (!parsed || *parsed < 1) {
-      return util::InvalidArgument("workers must be a positive number");
-    }
-    workers = static_cast<int>(*parsed);
-  }
-  auto target = FindTargetFor(args[0]);
-  if (!target.ok()) return target.status();
-  if (!target.value().factory) {
-    return util::FailedPrecondition(
-        "target of campaign " + args[0] +
-        " was registered without a parallel target factory");
-  }
-  auto campaign = store_->GetCampaign(args[0]);
-  if (!campaign.ok()) return campaign.status();
-  core::ParallelCampaignRunner runner(store_, target.value().factory, workers);
-  runner.SetForceWarmStart(true);
-  runner.SetConvergencePruning(true);
-  runner.SetEquivalenceClassing(true);
-  // Unlike run-dedup, no fault-free pre-run happens here: the only class
-  // source beyond the always-available past-end/pre-runtime keys is the
-  // static workload analysis, built from the program text alone.
-  auto analysis = static_cache_.Get(campaign.value().workload);
-  if (!analysis.ok()) return analysis.status();
-  runner.SetStaticAnalysis(analysis.value());
-  GOOFI_RETURN_IF_ERROR(runner.Run(args[0]));
-  const auto& stats = runner.stats();
-  last_run_ = LastRun{};
-  last_run_.valid = true;
-  last_run_.campaign = args[0];
-  last_run_.mode = "run-static";
-  last_run_.stats = stats;
-  last_run_.warm_starts = runner.warm_starts();
-  last_run_.prune = runner.prune_stats();
-  last_run_.dedup = runner.dedup_stats();
-  last_run_.memory = runner.memory_usage();
-  return util::Format(
-      "campaign %s: %d experiments run on %d workers (%lld classes, "
-      "%lld synthesized, %lld static no-effect, %lld pruned), %d resumed\n",
-      args[0].c_str(), stats.experiments_run, runner.workers_used(),
-      static_cast<long long>(runner.dedup_stats().classes_formed),
-      static_cast<long long>(runner.dedup_stats().experiments_synthesized),
-      static_cast<long long>(runner.dedup_stats().static_synthesized),
-      static_cast<long long>(runner.prune_stats().pruned_total()),
-      stats.experiments_resumed);
-}
-
-util::Result<std::string> Shell::RunWarmOrPruned(
-    const std::vector<std::string>& args, bool pruned) {
-  if (args.empty() || args.size() > 3) {
-    return util::InvalidArgument(pruned
-                                     ? "run-pruned <campaign> [workers] [interval]"
-                                     : "run-warm <campaign> [workers] [interval]");
-  }
-  int workers = 1;
+  int workers = command.default_workers;
   if (args.size() >= 2) {
     const auto parsed = util::ParseInt(args[1]);
     if (!parsed || *parsed < 1) {
@@ -508,33 +377,75 @@ util::Result<std::string> Shell::RunWarmOrPruned(
   }
   core::ParallelCampaignRunner runner(store_, target.value().factory, workers);
   runner.SetCheckpointInterval(interval);
-  runner.SetForceWarmStart(true);
-  runner.SetConvergencePruning(pruned);
+  runner.SetForceWarmStart(command.warm);
+  runner.SetConvergencePruning(command.pruned);
+  runner.SetEquivalenceClassing(command.classes != ClassSource::kNone);
+  if (command.classes != ClassSource::kNone) {
+    auto campaign = store_->GetCampaign(args[0]);
+    if (!campaign.ok()) return campaign.status();
+    if (command.classes == ClassSource::kTimeline) {
+      // The access timeline for window-based classes: a fault-free run of
+      // the campaign's workload on the target's configuration, memoized
+      // across campaigns. Bound by the campaign's own termination conditions
+      // so the timeline covers the whole golden run.
+      auto timeline = liveness_cache_.Get(
+          campaign.value().workload, target.value().config,
+          std::max<uint64_t>(200000, campaign.value().timeout_cycles),
+          campaign.value().max_iterations);
+      if (!timeline.ok()) return timeline.status();
+      runner.SetEquivalenceTimeline(timeline.value());
+    } else {
+      // No fault-free pre-run: the only class source beyond the always-
+      // available past-end/pre-runtime keys is the static workload
+      // analysis, built from the program text alone.
+      auto analysis = static_cache_.Get(campaign.value().workload);
+      if (!analysis.ok()) return analysis.status();
+      runner.SetStaticAnalysis(analysis.value());
+    }
+  }
   GOOFI_RETURN_IF_ERROR(runner.Run(args[0]));
   const auto& stats = runner.stats();
-  last_run_ = LastRun{};
-  last_run_.valid = true;
-  last_run_.campaign = args[0];
-  last_run_.mode = pruned ? "run-pruned" : "run-warm";
-  last_run_.stats = stats;
-  last_run_.warm_starts = runner.warm_starts();
-  last_run_.prune = runner.prune_stats();
-  last_run_.memory = runner.memory_usage();
-  if (pruned) {
-    return util::Format(
-        "campaign %s: %d experiments run on %d workers (%d warm starts, "
-        "%lld pruned, interval %llu), %d resumed\n",
-        args[0].c_str(), stats.experiments_run, runner.workers_used(),
-        runner.warm_starts(),
-        static_cast<long long>(runner.prune_stats().pruned_total()),
-        static_cast<unsigned long long>(interval), stats.experiments_resumed);
+  const core::EquivalenceStats& dedup = runner.dedup_stats();
+  last_run_ = LastRun{true,
+                      args[0],
+                      command.name,
+                      stats,
+                      runner.warm_starts(),
+                      runner.prune_stats(),
+                      dedup,
+                      runner.memory_usage()};
+  std::vector<std::string> details;
+  if (command.takes_interval) {
+    details.push_back(util::Format("%d warm starts", runner.warm_starts()));
   }
-  return util::Format(
-      "campaign %s: %d experiments run on %d workers (%d warm starts, "
-      "interval %llu), %d resumed\n",
-      args[0].c_str(), stats.experiments_run, runner.workers_used(),
-      runner.warm_starts(), static_cast<unsigned long long>(interval),
-      stats.experiments_resumed);
+  if (command.classes != ClassSource::kNone) {
+    details.push_back(util::Format(
+        "%lld classes", static_cast<long long>(dedup.classes_formed)));
+    details.push_back(util::Format(
+        "%lld synthesized",
+        static_cast<long long>(dedup.experiments_synthesized)));
+  }
+  if (command.classes == ClassSource::kStatic) {
+    details.push_back(
+        util::Format("%lld static no-effect",
+                     static_cast<long long>(dedup.static_synthesized)));
+  }
+  if (command.pruned) {
+    details.push_back(util::Format(
+        "%lld pruned",
+        static_cast<long long>(runner.prune_stats().pruned_total())));
+  }
+  if (command.takes_interval) {
+    details.push_back(util::Format(
+        "interval %llu", static_cast<unsigned long long>(interval)));
+  }
+  const std::string detail =
+      details.empty() ? "" : " (" + util::Join(details, ", ") + ")";
+  return util::Format("campaign %s: %d experiments run on %d workers%s, %d "
+                      "resumed\n",
+                      args[0].c_str(), stats.experiments_run,
+                      runner.workers_used(), detail.c_str(),
+                      stats.experiments_resumed);
 }
 
 util::Result<std::string> Shell::CmdStats() const {
@@ -808,11 +719,9 @@ util::Result<std::string> Shell::Execute(const std::string& line) {
   if (command == "target") return CmdTarget(args);
   if (command == "campaign") return CmdCampaign(args);
   if (command == "run") return CmdRun(args);
-  if (command == "run-parallel") return CmdRunParallel(args);
-  if (command == "run-warm") return CmdRunWarm(args);
-  if (command == "run-pruned") return CmdRunPruned(args);
-  if (command == "run-dedup") return CmdRunDedup(args);
-  if (command == "run-static") return CmdRunStatic(args);
+  for (const RunCommand& run : kRunCommands) {
+    if (command == run.name) return RunWithRunner(run, args);
+  }
   if (command == "stats") return CmdStats();
   if (command == "analyze") return CmdAnalyze(args);
   if (command == "report") return CmdReport(args);

@@ -11,11 +11,14 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 #include "core/goofi.hpp"
+#include "cpu/state_hash.hpp"
 #include "db/database.hpp"
 #include "testcard/testcard.hpp"
+#include "util/strings.hpp"
 
 namespace goofi::core {
 namespace {
@@ -341,6 +344,248 @@ TEST(CheckpointTest, CacheMemoryIsBoundedByPageDeltas) {
   EXPECT_EQ(cache.interval(), 256u);
   EXPECT_LT(cache.MemoryBytes(), cache.size() * 256 * 1024)
       << "snapshots must store page deltas, not full memory images";
+}
+
+// ---------------------------------------------------------------------------
+// One golden pass: a combined BuildGoldenRun(cache, trace) yields exactly the
+// products of separate cache-only and trace-only builds.
+// ---------------------------------------------------------------------------
+
+/// Forwards every TestCard call to a SimTestCard, counting ResetTarget.
+class ResetCountingCard final : public testcard::TestCard {
+ public:
+  explicit ResetCountingCard(const testcard::LinkConfig& link)
+      : inner_(cpu::CpuConfig(), link) {}
+
+  testcard::SimTestCard& inner() { return inner_; }
+  int resets() const { return resets_; }
+
+  util::Status Init() override { return inner_.Init(); }
+  util::Status LoadWorkload(const isa::AssembledProgram& program) override {
+    return inner_.LoadWorkload(program);
+  }
+  util::Status ResetTarget() override {
+    ++resets_;
+    return inner_.ResetTarget();
+  }
+  util::Status WriteMemory(uint32_t address,
+                           const std::vector<uint32_t>& words) override {
+    return inner_.WriteMemory(address, words);
+  }
+  util::Result<std::vector<uint32_t>> ReadMemory(uint32_t address,
+                                                 uint32_t num_words) override {
+    return inner_.ReadMemory(address, num_words);
+  }
+  int AddTrigger(const scan::Trigger& trigger) override {
+    return inner_.AddTrigger(trigger);
+  }
+  void ClearTriggers() override { inner_.ClearTriggers(); }
+  scan::DebugRunResult Run(uint64_t max_cycles) override {
+    return inner_.Run(max_cycles);
+  }
+  bool use_fast_run() const override { return inner_.use_fast_run(); }
+  cpu::StepOutcome SingleStep() override { return inner_.SingleStep(); }
+  util::Result<util::BitVec> ReadScanChain(const std::string& chain,
+                                           bool restore) override {
+    return inner_.ReadScanChain(chain, restore);
+  }
+  util::Status WriteScanChain(const std::string& chain,
+                              const util::BitVec& image) override {
+    return inner_.WriteScanChain(chain, image);
+  }
+  util::Status ReadScanChainInto(const std::string& chain, bool restore,
+                                 util::BitVec* out) override {
+    return inner_.ReadScanChainInto(chain, restore, out);
+  }
+  util::Status MarkMemoryBaseline() override {
+    return inner_.MarkMemoryBaseline();
+  }
+  util::Result<testcard::CardSnapshot> SaveSnapshot() override {
+    return inner_.SaveSnapshot();
+  }
+  util::Status RestoreSnapshot(
+      const testcard::CardSnapshot& snapshot) override {
+    return inner_.RestoreSnapshot(snapshot);
+  }
+  bool SupportsStateHash() const override {
+    return inner_.SupportsStateHash();
+  }
+  util::Status HashTargetState(cpu::StateHasher* hasher) override {
+    return inner_.HashTargetState(hasher);
+  }
+  const scan::ScanChainSet& chains() const override { return inner_.chains(); }
+  const cpu::Cpu& cpu() const override { return inner_.cpu(); }
+  cpu::Cpu& mutable_cpu() override { return inner_.mutable_cpu(); }
+  double link_time_us() const override { return inner_.link_time_us(); }
+
+ private:
+  testcard::SimTestCard inner_;
+  int resets_ = 0;
+};
+
+/// Exposes checkpoint restore and state collection to the test. Golden
+/// builds never touch the store, so the targets get none.
+template <typename Target>
+class ProbeTarget final : public Target {
+ public:
+  using Target::Target;
+  using Target::CollectState;
+  using Target::RestoreCheckpoint;
+};
+
+/// What one BuildGoldenRun produced, in comparable form.
+struct GoldenProducts {
+  int resets = 0;
+  std::vector<uint64_t> checkpoint_instrets;
+  /// Per checkpoint, after restoring it: the StateHasher capture blob of the
+  /// target state, then the collected LoggedState.
+  std::vector<std::vector<uint8_t>> restored_blobs;
+  std::vector<std::string> restored_states;
+  GoldenTrace trace;
+};
+
+struct GoldenConfig {
+  CampaignData campaign;
+  bool fast = true;
+  bool noisy = false;  ///< Thor only: the link flips shifted bits
+};
+
+constexpr uint64_t kGoldenInterval = 64;
+
+template <typename Target>
+void CollectGolden(ProbeTarget<Target>& target, const GoldenConfig& config,
+                   bool want_cache, bool want_trace,
+                   const std::function<void(cpu::StateHasher*)>& hash_target,
+                   GoldenProducts* out) {
+  target.SetCheckpointInterval(0);  // build explicitly below
+  ASSERT_TRUE(target.PrepareCampaign(config.campaign).ok());
+  CheckpointCache cache(kGoldenInterval);
+  ASSERT_TRUE(target
+                  .BuildGoldenRun(kGoldenInterval,
+                                  want_cache ? &cache : nullptr,
+                                  want_trace ? &out->trace : nullptr)
+                  .ok());
+  if (!want_cache) return;
+  for (uint64_t instret = 0;; instret += kGoldenInterval) {
+    const Checkpoint* checkpoint = cache.FindBefore(instret + 1);
+    if (checkpoint == nullptr || checkpoint->instret != instret) break;
+    out->checkpoint_instrets.push_back(instret);
+    ASSERT_TRUE(target.RestoreCheckpoint(*checkpoint).ok());
+    cpu::StateHasher hasher(/*capture=*/true);
+    hash_target(&hasher);
+    out->restored_blobs.push_back(hasher.TakeBlob());
+    out->restored_states.push_back(
+        target.CollectState().ValueOrDie().Serialize());
+  }
+  EXPECT_EQ(out->checkpoint_instrets.size(), cache.size());
+}
+
+GoldenProducts BuildThorGolden(const GoldenConfig& config, bool want_cache,
+                               bool want_trace) {
+  testcard::LinkConfig link;
+  if (config.noisy) link.bit_error_rate = 1e-3;
+  ResetCountingCard card(link);
+  card.inner().set_use_fast_run(config.fast);
+  ProbeTarget<ThorRdTarget> target(nullptr, &card);
+  GoldenProducts products;
+  CollectGolden(
+      target, config, want_cache, want_trace,
+      [&](cpu::StateHasher* hasher) {
+        ASSERT_TRUE(card.HashTargetState(hasher).ok());
+      },
+      &products);
+  products.resets = card.resets();
+  return products;
+}
+
+GoldenProducts BuildSwifiGolden(const GoldenConfig& config, bool want_cache,
+                                bool want_trace) {
+  ProbeTarget<SwifiSimTarget> target(nullptr);
+  target.set_use_fast_run(config.fast);
+  GoldenProducts products;
+  CollectGolden(
+      target, config, want_cache, want_trace,
+      [&](cpu::StateHasher* hasher) {
+        // Hashing canonicalizes the memory delta in place without changing
+        // its contents; the target exposes its CPU read-only.
+        const_cast<cpu::Cpu&>(target.cpu()).HashExecutionState(hasher);
+      },
+      &products);
+  return products;
+}
+
+void ExpectSameGoldenProducts(const GoldenProducts& combined,
+                              const GoldenProducts& cache_only,
+                              const GoldenProducts& trace_only) {
+  ASSERT_FALSE(cache_only.checkpoint_instrets.empty());
+  EXPECT_EQ(combined.checkpoint_instrets, cache_only.checkpoint_instrets);
+  EXPECT_EQ(combined.restored_blobs, cache_only.restored_blobs);
+  EXPECT_EQ(combined.restored_states, cache_only.restored_states);
+
+  const GoldenTrace& a = combined.trace;
+  const GoldenTrace& b = trace_only.trace;
+  ASSERT_TRUE(b.has_final_state());
+  EXPECT_EQ(a.interval(), b.interval());
+  EXPECT_EQ(a.campaign_name(), b.campaign_name());
+  ASSERT_EQ(a.boundaries().size(), b.boundaries().size());
+  for (size_t i = 0; i < a.boundaries().size(); ++i) {
+    EXPECT_EQ(a.boundaries()[i].instret, b.boundaries()[i].instret) << i;
+    EXPECT_EQ(a.boundaries()[i].hash, b.boundaries()[i].hash) << i;
+    EXPECT_EQ(a.boundaries()[i].blob, b.boundaries()[i].blob) << i;
+  }
+  EXPECT_EQ(a.final_state().Serialize(), b.final_state().Serialize());
+  ASSERT_EQ(a.detail_rows().size(), b.detail_rows().size());
+  for (size_t i = 0; i < a.detail_rows().size(); ++i) {
+    EXPECT_EQ(a.detail_rows()[i].Serialize(), b.detail_rows()[i].Serialize())
+        << i;
+  }
+  EXPECT_EQ(a.detail_complete(), b.detail_complete());
+}
+
+TEST(CheckpointTest, ThorCombinedGoldenRunMatchesSeparateBuilds) {
+  for (bool plant : {false, true}) {
+    for (LogMode mode : {LogMode::kNormal, LogMode::kDetail}) {
+      for (bool fast : {true, false}) {
+        for (bool noisy : {false, true}) {
+          GoldenConfig config;
+          config.campaign = plant ? ThorControlCampaign("gp_thor")
+                                  : ThorScifiCampaign("gp_thor");
+          config.campaign.log_mode = mode;
+          config.fast = fast;
+          config.noisy = noisy;
+          SCOPED_TRACE(util::Format("plant=%d detail=%d fast=%d noisy=%d",
+                                    plant, mode == LogMode::kDetail, fast,
+                                    noisy));
+          const GoldenProducts combined = BuildThorGolden(config, true, true);
+          ExpectSameGoldenProducts(combined,
+                                   BuildThorGolden(config, true, false),
+                                   BuildThorGolden(config, false, true));
+          if (mode == LogMode::kDetail) {
+            EXPECT_FALSE(combined.trace.detail_rows().empty());
+            // The trace comes from the detail loop; the cache from RunLoop.
+            EXPECT_EQ(combined.resets, 2);
+          } else {
+            EXPECT_EQ(combined.resets, 1) << "one golden pass, one reset";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(CheckpointTest, SwifiCombinedGoldenRunMatchesSeparateBuilds) {
+  for (bool plant : {false, true}) {
+    for (bool fast : {true, false}) {
+      GoldenConfig config;
+      config.campaign = plant ? SwifiControlCampaign("gp_swifi")
+                              : SwifiRuntimeCampaign("gp_swifi");
+      config.fast = fast;
+      SCOPED_TRACE(util::Format("plant=%d fast=%d", plant, fast));
+      ExpectSameGoldenProducts(BuildSwifiGolden(config, true, true),
+                               BuildSwifiGolden(config, true, false),
+                               BuildSwifiGolden(config, false, true));
+    }
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -33,6 +34,18 @@ CampaignData ScifiCampaign() {
   return campaign;
 }
 
+/// One register-file cell, many experiments over a narrow window: on the
+/// composed stack multi-member equivalence classes form, so the committer
+/// synthesizes member rows.
+CampaignData DenseScifiCampaign() {
+  CampaignData campaign = ScifiCampaign();
+  campaign.name = "par_dense";
+  campaign.locations = {{"internal_regfile", "regfile.r2"}};
+  campaign.num_experiments = 24;
+  campaign.inject_max_instr = 400;
+  return campaign;
+}
+
 CampaignData SwifiCampaign() {
   CampaignData campaign;
   campaign.name = "par_swifi";
@@ -53,6 +66,7 @@ struct RunResult {
   std::vector<CampaignStore::ExperimentRow> rows;  ///< insertion order
   FaultInjectionAlgorithms::Stats stats;
   std::string db_bytes;  ///< the Save() file, CRC trailer and all
+  int64_t synthesized = 0;  ///< equivalence-class members synthesized
 };
 
 /// One self-contained session: fresh database + store + registered target.
@@ -117,15 +131,37 @@ RunResult RunSerial(const CampaignData& campaign,
                           campaign.name);
 }
 
+/// The dispatch-loop tests run twice: on the plain runner, where every
+/// pending experiment is its own unit of work, and on the composed stack
+/// (warm start + convergence pruning + equivalence classing with an access
+/// timeline), where each equivalence class is one unit.
+constexpr bool kBothPaths[] = {false, true};
+
+void Compose(ParallelCampaignRunner& runner, const CampaignData& campaign) {
+  runner.SetForceWarmStart(true);
+  runner.SetConvergencePruning(true);
+  runner.SetEquivalenceClassing(true);
+  runner.SetEquivalenceTimeline(
+      LivenessAnalyzer::Build(
+          campaign.workload, cpu::CpuConfig(),
+          std::max<uint64_t>(200000, campaign.timeout_cycles),
+          campaign.max_iterations)
+          .ValueOrDie());
+}
+
 RunResult RunParallel(const CampaignData& campaign, int workers,
-                      int batch_rows = 0, ProgressMonitor* monitor = nullptr) {
+                      int batch_rows = 0, ProgressMonitor* monitor = nullptr,
+                      bool composed = false) {
   Session session(campaign);
   ParallelCampaignRunner runner(&session.store,
                                 FactoryFor(campaign, &session.store), workers);
   if (batch_rows > 0) runner.SetCommitBatchRows(batch_rows);
   runner.SetProgressMonitor(monitor);
-  return session.Snapshot(runner.Run(campaign.name), runner.stats(),
-                          campaign.name);
+  if (composed) Compose(runner, campaign);
+  RunResult result = session.Snapshot(runner.Run(campaign.name),
+                                      runner.stats(), campaign.name);
+  result.synthesized = runner.dedup_stats().experiments_synthesized;
+  return result;
 }
 
 void ExpectIdentical(const RunResult& serial, const RunResult& parallel) {
@@ -165,10 +201,19 @@ TEST(ParallelRunnerTest, SwifiPreRuntimeMatchesSerialAtEveryWorkerCount) {
 }
 
 TEST(ParallelRunnerTest, CommitBatchSizeDoesNotAffectContents) {
-  const CampaignData campaign = ScifiCampaign();
+  const CampaignData campaign = DenseScifiCampaign();
   const RunResult serial = RunSerial(campaign);
-  ExpectIdentical(serial, RunParallel(campaign, 4, /*batch_rows=*/1));
-  ExpectIdentical(serial, RunParallel(campaign, 4, /*batch_rows=*/1000));
+  for (bool composed : kBothPaths) {
+    SCOPED_TRACE(composed ? "composed" : "plain");
+    const RunResult small =
+        RunParallel(campaign, 4, /*batch_rows=*/1, nullptr, composed);
+    ExpectIdentical(serial, small);
+    ExpectIdentical(serial, RunParallel(campaign, 4, /*batch_rows=*/1000,
+                                        nullptr, composed));
+    if (composed) {
+      EXPECT_GT(small.synthesized, 0) << "no class formed";
+    }
+  }
 }
 
 TEST(ParallelRunnerTest, DetailModeRowsCommitInOrder) {
@@ -185,41 +230,48 @@ TEST(ParallelRunnerTest, DetailModeRowsCommitInOrder) {
 }
 
 TEST(ParallelRunnerTest, ResumeSkipsLoggedExperimentsAndCompletesCampaign) {
-  const CampaignData campaign = ScifiCampaign();
+  const CampaignData campaign = DenseScifiCampaign();
 
   // A full serial run is the reference picture.
   const RunResult full = RunSerial(campaign);
 
-  // Serially run the first 5 experiments, then let the parallel runner
-  // resume the rest in the same session.
-  Session session(campaign);
-  testcard::SimTestCard card;
-  ThorRdTarget target(&session.store, &card);
-  CountingMonitor stopper(/*limit=*/5);
-  target.SetProgressMonitor(&stopper);
-  ASSERT_TRUE(target.RunCampaign(campaign.name).ok());
-  ASSERT_EQ(target.stats().experiments_run, 5);
+  for (bool composed : kBothPaths) {
+    SCOPED_TRACE(composed ? "composed" : "plain");
+    // Serially run the first 5 experiments, then let the parallel runner
+    // resume the rest in the same session.
+    Session session(campaign);
+    testcard::SimTestCard card;
+    ThorRdTarget target(&session.store, &card);
+    CountingMonitor stopper(/*limit=*/5);
+    target.SetProgressMonitor(&stopper);
+    ASSERT_TRUE(target.RunCampaign(campaign.name).ok());
+    ASSERT_EQ(target.stats().experiments_run, 5);
 
-  ParallelCampaignRunner runner(&session.store,
-                                MakeSimThorFactory(&session.store), 3);
-  const RunResult resumed =
-      session.Snapshot(runner.Run(campaign.name), runner.stats(), campaign.name);
-  ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
-  EXPECT_EQ(resumed.stats.experiments_resumed, 5);
-  EXPECT_EQ(resumed.stats.experiments_run, campaign.num_experiments - 5);
-  EXPECT_EQ(full.db_bytes, resumed.db_bytes);
+    ParallelCampaignRunner runner(&session.store,
+                                  MakeSimThorFactory(&session.store), 3);
+    if (composed) Compose(runner, campaign);
+    const RunResult resumed = session.Snapshot(runner.Run(campaign.name),
+                                               runner.stats(), campaign.name);
+    ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
+    EXPECT_EQ(resumed.stats.experiments_resumed, 5);
+    EXPECT_EQ(resumed.stats.experiments_run, campaign.num_experiments - 5);
+    EXPECT_EQ(full.db_bytes, resumed.db_bytes);
+  }
 }
 
 TEST(ParallelRunnerTest, EarlyStopMatchesSeriallyStoppedRun) {
-  const CampaignData campaign = ScifiCampaign();
+  const CampaignData campaign = DenseScifiCampaign();
   CountingMonitor serial_stopper(/*limit=*/4);
   const RunResult serial = RunSerial(campaign, &serial_stopper);
-  CountingMonitor parallel_stopper(/*limit=*/4);
-  const RunResult parallel =
-      RunParallel(campaign, 4, /*batch_rows=*/0, &parallel_stopper);
-  EXPECT_EQ(parallel_stopper.calls(), 4);
-  ExpectIdentical(serial, parallel);
-  EXPECT_EQ(parallel.stats.experiments_run, 4);
+  for (bool composed : kBothPaths) {
+    SCOPED_TRACE(composed ? "composed" : "plain");
+    CountingMonitor parallel_stopper(/*limit=*/4);
+    const RunResult parallel = RunParallel(campaign, 4, /*batch_rows=*/0,
+                                           &parallel_stopper, composed);
+    EXPECT_EQ(parallel_stopper.calls(), 4);
+    ExpectIdentical(serial, parallel);
+    EXPECT_EQ(parallel.stats.experiments_run, 4);
+  }
 }
 
 TEST(ParallelRunnerTest, ProgressCallbacksArriveInExperimentOrder) {
@@ -237,13 +289,16 @@ TEST(ParallelRunnerTest, ProgressCallbacksArriveInExperimentOrder) {
     bool ordered_ = true;
     int last_ = 0;
   };
-  OrderMonitor monitor;
-  const CampaignData campaign = ScifiCampaign();
-  const RunResult result =
-      RunParallel(campaign, 8, /*batch_rows=*/0, &monitor);
-  ASSERT_TRUE(result.status.ok());
-  EXPECT_TRUE(monitor.ordered());
-  EXPECT_EQ(monitor.last(), campaign.num_experiments);
+  const CampaignData campaign = DenseScifiCampaign();
+  for (bool composed : kBothPaths) {
+    SCOPED_TRACE(composed ? "composed" : "plain");
+    OrderMonitor monitor;
+    const RunResult result =
+        RunParallel(campaign, 8, /*batch_rows=*/0, &monitor, composed);
+    ASSERT_TRUE(result.status.ok());
+    EXPECT_TRUE(monitor.ordered());
+    EXPECT_EQ(monitor.last(), campaign.num_experiments);
+  }
 }
 
 TEST(ParallelRunnerTest, UnknownCampaignFails) {
@@ -265,7 +320,9 @@ TEST(ParallelRunnerTest, BadLocationSelectorFailsBeforeDispatch) {
 }
 
 TEST(ParallelRunnerTest, LivenessFilterStatsMatchSerial) {
-  const CampaignData campaign = ScifiCampaign();
+  // r9 is dead at many draws and still forms classes.
+  CampaignData campaign = DenseScifiCampaign();
+  campaign.locations = {{"internal_regfile", "regfile.r9"}};
   auto analyzer =
       LivenessAnalyzer::Build(campaign.workload, cpu::CpuConfig()).ValueOrDie();
 
@@ -276,15 +333,22 @@ TEST(ParallelRunnerTest, LivenessFilterStatsMatchSerial) {
   const RunResult serial = serial_session.Snapshot(
       target.RunCampaign(campaign.name), target.stats(), campaign.name);
 
-  Session parallel_session(campaign);
-  ParallelCampaignRunner runner(
-      &parallel_session.store, MakeSimThorFactory(&parallel_session.store), 4);
-  runner.SetLivenessFilter(analyzer->MakeFilter());
-  const RunResult parallel = parallel_session.Snapshot(
-      runner.Run(campaign.name), runner.stats(), campaign.name);
-
   ASSERT_TRUE(serial.stats.injections_skipped_dead > 0);
-  ExpectIdentical(serial, parallel);
+  for (bool composed : kBothPaths) {
+    SCOPED_TRACE(composed ? "composed" : "plain");
+    Session parallel_session(campaign);
+    ParallelCampaignRunner runner(&parallel_session.store,
+                                  MakeSimThorFactory(&parallel_session.store),
+                                  4);
+    runner.SetLivenessFilter(analyzer->MakeFilter());
+    if (composed) Compose(runner, campaign);
+    const RunResult parallel = parallel_session.Snapshot(
+        runner.Run(campaign.name), runner.stats(), campaign.name);
+    ExpectIdentical(serial, parallel);
+    if (composed) {
+      EXPECT_GT(runner.dedup_stats().experiments_synthesized, 0);
+    }
+  }
 }
 
 }  // namespace

@@ -200,6 +200,61 @@ TEST_F(ShellTest, RunDedupResultsMatchPlainRun) {
       << "run-dedup must reproduce the plain run's rows exactly";
 }
 
+TEST_F(ShellTest, RunnerBackedCommandsShareOneSurface) {
+  struct Case {
+    const char* command;
+    const char* usage;
+    const char* beyond_grammar;  ///< arguments one past the grammar
+  };
+  const Case cases[] = {
+      {"run-parallel", "run-parallel <campaign> [workers]", " sf 1 16"},
+      {"run-warm", "run-warm <campaign> [workers] [interval]", " sf 1 16 2"},
+      {"run-pruned", "run-pruned <campaign> [workers] [interval]",
+       " sf 1 16 2"},
+      {"run-dedup", "run-dedup <campaign> [workers]", " sf 1 16"},
+      {"run-static", "run-static <campaign> [workers]", " sf 1 16"},
+  };
+  MustRun(
+      "campaign set sf workload=fibonacci locations=internal_regfile "
+      "experiments=4 window=1:80 timeout=50000");
+  // The fixture registers the target without a parallel factory.
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.command);
+    const auto result = Run(std::string(c.command) + " sf");
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), util::StatusCode::kFailedPrecondition);
+  }
+  shell_.AddTarget(core::ThorRdTarget::kTargetName, &target_, &card_,
+                   core::MakeSimThorFactory(&store_));
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.command);
+    const std::string command = c.command;
+    for (const char* workers : {" sf 0", " sf x"}) {
+      const auto result = Run(command + workers);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().message(), "workers must be a positive number");
+    }
+    for (const std::string& args :
+         {std::string(), std::string(c.beyond_grammar)}) {
+      const auto result = Run(command + args);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().message(), c.usage);
+    }
+    const auto ghost = Run(command + " ghost");
+    ASSERT_FALSE(ghost.ok());
+    EXPECT_EQ(ghost.status().code(), util::StatusCode::kNotFound);
+
+    MustRun("sql DELETE FROM LoggedSystemState");
+    const std::string out = MustRun(command + " sf");
+    EXPECT_EQ(out.rfind("campaign sf: 4 experiments run on ", 0), 0u) << out;
+    if (command != "run-parallel") {
+      EXPECT_NE(out.find(" on 1 workers"), std::string::npos) << out;
+    }
+    EXPECT_NE(MustRun("stats").find("last run: sf (" + command + ")"),
+              std::string::npos);
+  }
+}
+
 TEST_F(ShellTest, StatsFailsBeforeAnyRun) {
   const auto result = Run("stats");
   EXPECT_FALSE(result.ok());
