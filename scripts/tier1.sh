@@ -47,7 +47,7 @@ cmake --build "$TSAN_DIR" -j "$JOBS" --target thread_pool_test parallel_runner_t
 echo "== tier-1: ASan pass (superblock fast-path differential fuzzer) =="
 ASAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$ASAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGOOFI_SANITIZE=address
-cmake --build "$ASAN_DIR" -j "$JOBS" --target cpu_fastpath_test convergence_test sql_index_test equivalence_test archive_test memory_cow_test static_analysis_test
+cmake --build "$ASAN_DIR" -j "$JOBS" --target cpu_fastpath_test convergence_test sql_index_test equivalence_test archive_test memory_cow_test static_analysis_test scan_test testcard_test util_test
 "$ASAN_DIR"/tests/cpu_fastpath_test
 
 echo "== tier-1: ASan pass (COW paged memory differential fuzzer) =="
@@ -68,11 +68,22 @@ echo "== tier-1: ASan pass (indexed-vs-scan SQL differential suite) =="
 echo "== tier-1: ASan pass (archive codec/snapshot/WAL-recovery suite) =="
 "$ASAN_DIR"/tests/archive_test
 
-echo "== tier-1: UBSan pass (superblock fast-path differential fuzzer) =="
+echo "== tier-1: ASan pass (block Shift-DR differential + BitVec word-op fuzz + pinned link model) =="
+"$ASAN_DIR"/tests/scan_test
+"$ASAN_DIR"/tests/testcard_test
+"$ASAN_DIR"/tests/util_test
+
+echo "== tier-1: UBSan pass (superblock fast-path differential fuzzer + scan/BitVec word-op suites) =="
 UBSAN_DIR="${BUILD_DIR}-ubsan"
 cmake -B "$UBSAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGOOFI_SANITIZE=undefined
-cmake --build "$UBSAN_DIR" -j "$JOBS" --target cpu_fastpath_test
+cmake --build "$UBSAN_DIR" -j "$JOBS" --target cpu_fastpath_test scan_test testcard_test util_test
+# UBSan only prints a report and carries on by default; make a report fail
+# the stanza.
+export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 "$UBSAN_DIR"/tests/cpu_fastpath_test
+"$UBSAN_DIR"/tests/scan_test
+"$UBSAN_DIR"/tests/testcard_test
+"$UBSAN_DIR"/tests/util_test
 
 echo "== tier-1: checkpoint fast-forward benchmark (BENCH_checkpoint.json) =="
 cmake --build "$BUILD_DIR" -j "$JOBS" --target bench_checkpoint_fastforward

@@ -1,5 +1,6 @@
 #include "scan/tap.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace goofi::scan {
@@ -152,17 +153,28 @@ void TapController::ShiftDataInto(const util::BitVec& out,
                                   util::BitVec* captured) {
   assert(state_ == TapState::kRunTestIdle);
   const uint32_t length = handler_->DrLength(instruction_);
-  assert(out.empty() || out.size() == length);
+  assert(length > 0);  // 1149.1 data registers are at least one bit long
   // Run-Test/Idle -> Select-DR -> Capture-DR -> Shift-DR.
   Clock(true, false);
   Clock(false, false);
   Clock(false, false);
+  // Shift-DR for `length` TCKs, TMS=1 on the last, applied as one block.
+  // Clock() shifts through a position pointer that starts at 0 in
+  // Capture-DR, so those clocks swap the first n bits of the shift stage
+  // with the first n TDI bits and put the stage's old bits on TDO; clocks
+  // past the stage's end shift nothing and read TDO as 0.
+  const size_t n = std::min<size_t>(length, dr_shift_.size());
   captured->ResizeZero(length);
-  for (uint32_t i = 0; i < length; ++i) {
-    const bool tms = (i == length - 1);
-    const bool tdi = out.empty() ? false : out.Get(i);
-    captured->Set(i, Clock(tms, tdi));
+  for (size_t i = 0; i < n; i += 64) {
+    const size_t bits = std::min<size_t>(64, n - i);
+    const uint64_t tdi =
+        i < out.size() ? out.ExtractWord(i, std::min(bits, out.size() - i)) : 0;
+    captured->DepositWord(i, dr_shift_.ExtractWord(i, bits), bits);
+    dr_shift_.DepositWord(i, tdi, bits);
   }
+  shift_pos_ = static_cast<uint32_t>(n);
+  tck_count_ += length;
+  state_ = TapState::kExit1Dr;
   // Exit1-DR -> Update-DR -> Run-Test/Idle.
   Clock(true, false);
   Clock(false, false);

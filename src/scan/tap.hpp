@@ -5,9 +5,11 @@
 // IEEE standard for boundary scan" (paper §3.1) is modelled here: the
 // canonical 16-state TAP FSM driven by TMS on each TCK, an instruction
 // register, and a data-register stage selected by the current instruction.
-// The test card (src/testcard) drives this controller bit-by-bit exactly the
-// way a hardware probe would; higher GOOFI layers never touch TMS/TDI
-// directly.
+// The test card (src/testcard) drives this controller the way a hardware
+// probe would; higher GOOFI layers never touch TMS/TDI directly. The FSM is
+// clocked one TCK at a time, except that ShiftDataInto applies a full-length
+// Shift-DR as one word-parallel block with the same result and TCK count as
+// clocking it bit by bit.
 #pragma once
 
 #include <cstdint>
@@ -87,7 +89,11 @@ class TapController {
 
   /// Navigates through DR scan, shifting `out` in while capturing the
   /// previous register contents; returns the captured (shifted-out) bits.
-  /// Length is taken from the current instruction's register.
+  /// Length is taken from the current instruction's register. TDI bits past
+  /// the end of `out` are zeros (an empty `out` shifts all zeros); `out` may
+  /// differ from the register length when link noise has redirected the
+  /// chain select. Navigation runs through Clock(); the Shift-DR phase is
+  /// one block transfer that counts one TCK per shifted bit.
   util::BitVec ShiftData(const util::BitVec& out);
 
   /// Like ShiftData but writes the captured bits into `*captured` (resized

@@ -181,27 +181,30 @@ void SimTestCard::UpdateDr(scan::TapInstruction instruction,
   }
 }
 
-util::BitVec SimTestCard::ShiftWithNoise(const util::BitVec& out) {
-  util::BitVec captured;
-  ShiftWithNoiseInto(out, &captured);
-  return captured;
-}
-
 void SimTestCard::ShiftWithNoiseInto(const util::BitVec& out,
                                      util::BitVec* captured) {
   if (link_.bit_error_rate <= 0.0) {
     tap_.ShiftDataInto(out, captured);
     return;
   }
-  util::BitVec noisy = out;
-  for (size_t i = 0; i < noisy.size(); ++i) {
-    if (noise_.NextBool(link_.bit_error_rate)) noisy.Flip(i);
+  noisy_scratch_ = out;  // copy-assignment reuses the scratch capacity
+  for (size_t i = 0; i < noisy_scratch_.size(); ++i) {
+    if (noise_.NextBool(link_.bit_error_rate)) noisy_scratch_.Flip(i);
   }
-  tap_.ShiftDataInto(noisy, captured);
+  tap_.ShiftDataInto(noisy_scratch_, captured);
   // TDO path is equally noisy.
   for (size_t i = 0; i < captured->size(); ++i) {
     if (noise_.NextBool(link_.bit_error_rate)) captured->Flip(i);
   }
+}
+
+void SimTestCard::SelectChain(int index) {
+  tap_.LoadInstruction(scan::TapInstruction::kScanN);
+  select_scratch_.ResizeZero(SelectBits(chains_.chains().size()));
+  select_scratch_.DepositWord(0, static_cast<uint32_t>(index),
+                              select_scratch_.size());
+  ShiftWithNoiseInto(select_scratch_, &shift_scratch_);
+  tap_.LoadInstruction(scan::TapInstruction::kIntest);
 }
 
 util::Result<util::BitVec> SimTestCard::ReadScanChain(const std::string& chain,
@@ -217,14 +220,7 @@ util::Status SimTestCard::ReadScanChainInto(const std::string& chain,
   if (index < 0) return util::NotFound("no scan chain " + chain);
   extra_us_ += link_.op_overhead_us;
 
-  // Select the chain via SCAN_N, then INTEST.
-  tap_.LoadInstruction(scan::TapInstruction::kScanN);
-  select_scratch_.ResizeZero(SelectBits(chains_.chains().size()));
-  select_scratch_.DepositWord(0, static_cast<uint32_t>(index),
-                              select_scratch_.size());
-  ShiftWithNoiseInto(select_scratch_, &shift_scratch_);
-
-  tap_.LoadInstruction(scan::TapInstruction::kIntest);
+  SelectChain(index);
   zeros_scratch_.ResizeZero(
       chains_.chains()[static_cast<size_t>(index)].length_bits());
   ShiftWithNoiseInto(zeros_scratch_, out);
@@ -311,13 +307,8 @@ util::Status SimTestCard::WriteScanChain(const std::string& chain,
   }
   extra_us_ += link_.op_overhead_us;
 
-  tap_.LoadInstruction(scan::TapInstruction::kScanN);
-  util::BitVec select(SelectBits(chains_.chains().size()));
-  select.DepositWord(0, static_cast<uint32_t>(index), select.size());
-  ShiftWithNoise(select);
-
-  tap_.LoadInstruction(scan::TapInstruction::kIntest);
-  ShiftWithNoise(image);
+  SelectChain(index);
+  ShiftWithNoiseInto(image, &shift_scratch_);
   return util::Status::Ok();
 }
 

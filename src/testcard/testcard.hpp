@@ -5,8 +5,9 @@
 // method in FaultInjectionAlgorithms (Fig. 2) initializes exactly this
 // object. `TestCard` is the interface the TargetSystemInterface classes
 // program against; `SimTestCard` binds it to the simulated TRD32 target,
-// routing every scan access through the TAP controller bit-by-bit and
-// accounting link time the way a real probe would.
+// routing every scan access through the TAP controller and accounting link
+// time the way a real probe would: one TCK per clock, with each full-length
+// Shift-DR applied as one block that counts one TCK per bit.
 #pragma once
 
 #include <memory>
@@ -207,11 +208,14 @@ class SimTestCard final : public TestCard, private scan::TapController::DrHandle
   void UpdateDr(scan::TapInstruction instruction,
                 const util::BitVec& value) override;
 
-  /// DR scan through the TAP with link-noise applied to TDI bits.
-  util::BitVec ShiftWithNoise(const util::BitVec& out);
-
-  /// Buffer-reusing variant of ShiftWithNoise for hot capture loops.
+  /// DR scan through the TAP with link noise applied to the TDI and TDO
+  /// bits, one noise draw per bit in shift order. Writes the captured bits
+  /// into `*captured`.
   void ShiftWithNoiseInto(const util::BitVec& out, util::BitVec* captured);
+
+  /// Points INTEST at chain `index`: SCAN_N load plus a select scan, then
+  /// the INTEST load.
+  void SelectChain(int index);
 
   const scan::ScanChain* SelectedChain() const;
 
@@ -228,10 +232,11 @@ class SimTestCard final : public TestCard, private scan::TapController::DrHandle
   double extra_us_ = 0.0;  ///< op overheads accumulated
   bool use_fast_run_ = true;
 
-  // Scratch buffers recycled across ReadScanChainInto calls.
+  // Scratch buffers recycled across scan reads and writes.
   util::BitVec select_scratch_;
   util::BitVec shift_scratch_;
   util::BitVec zeros_scratch_;
+  util::BitVec noisy_scratch_;  ///< TDI image after link noise
 };
 
 }  // namespace goofi::testcard

@@ -6,6 +6,7 @@
 #include "scan/chain.hpp"
 #include "scan/debug.hpp"
 #include "scan/tap.hpp"
+#include "util/rng.hpp"
 
 namespace goofi::scan {
 namespace {
@@ -115,6 +116,134 @@ TEST(TapTest, TckCountGrowsWithTraffic) {
   tap.LoadInstruction(TapInstruction::kIntest);
   tap.ShiftData(util::BitVec(8));
   EXPECT_GT(tap.tck_count(), before + 8);
+  // IR load from Run-Test/Idle: 4 in, 4 shifting, 2 out. DR scan: 3 in, 8
+  // shifting, 2 out.
+  EXPECT_EQ(tap.tck_count(), before + 10 + 13);
+}
+
+// --- block Shift-DR against a clock-by-clock reference ----------------------
+
+/// DR handler whose declared register length and capture image size are set
+/// independently, so a scan can shift more or fewer bits than the capture
+/// stage holds.
+class MismatchedDr : public TapController::DrHandler {
+ public:
+  uint32_t DrLength(TapInstruction) override { return length; }
+  util::BitVec CaptureDr(TapInstruction) override { return capture; }
+  void UpdateDr(TapInstruction, const util::BitVec& image) override {
+    updated = image;
+    ++updates;
+  }
+  uint32_t length = 1;
+  util::BitVec capture;
+  util::BitVec updated;
+  int updates = 0;
+};
+
+util::BitVec RandomBits(util::Rng* rng, size_t size) {
+  util::BitVec bits(size);
+  for (size_t i = 0; i < size; ++i) bits.Set(i, rng->NextBool());
+  return bits;
+}
+
+/// The DR scan ShiftDataInto performs, driven one Clock() per TCK: three
+/// clocks into Shift-DR, `length` shifting clocks (TMS=1 on the last, TDI 0
+/// past the end of `out`), two clocks back to Run-Test/Idle.
+util::BitVec ReferenceShift(TapController* tap, uint32_t length,
+                            const util::BitVec& out) {
+  tap->Clock(true, false);
+  tap->Clock(false, false);
+  tap->Clock(false, false);
+  util::BitVec captured(length);
+  for (uint32_t i = 0; i < length; ++i) {
+    const bool tdi = i < out.size() && out.Get(i);
+    captured.Set(i, tap->Clock(i == length - 1, tdi));
+  }
+  tap->Clock(true, false);
+  tap->Clock(false, false);
+  return captured;
+}
+
+void ExpectSameController(const TapController& block,
+                          const TapController& ref) {
+  EXPECT_EQ(block.state(), ref.state());
+  EXPECT_EQ(block.instruction(), ref.instruction());
+  EXPECT_EQ(block.tck_count(), ref.tck_count());
+  const TapController::Snapshot a = block.SaveSnapshot();
+  const TapController::Snapshot b = ref.SaveSnapshot();
+  EXPECT_EQ(a.state, b.state);
+  EXPECT_EQ(a.instruction, b.instruction);
+  EXPECT_EQ(a.ir_shift, b.ir_shift);
+  EXPECT_EQ(a.dr_shift, b.dr_shift);
+  EXPECT_EQ(a.shift_pos, b.shift_pos);
+  EXPECT_EQ(a.tck_count, b.tck_count);
+}
+
+TEST(TapBlockShiftTest, MatchesClockByClockReference) {
+  util::Rng rng(0x7A95CA7);
+  for (int trial = 0; trial < 240; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    MismatchedDr block_dr;
+    MismatchedDr ref_dr;
+    TapController block(&block_dr);
+    TapController ref(&ref_dr);
+    block.Reset();
+    ref.Reset();
+    // Two consecutive scans per controller pair, so the second starts from
+    // the state the first one left behind.
+    for (int scan = 0; scan < 2; ++scan) {
+      const uint32_t length = 1 + static_cast<uint32_t>(rng.NextBelow(3000));
+      // Capture stage equal to, shorter than (possibly empty) or longer
+      // than the declared register length.
+      size_t capture_size = length;
+      switch ((trial + scan) % 3) {
+        case 1:
+          capture_size = rng.NextBelow(length);
+          break;
+        case 2:
+          capture_size = length + 1 + rng.NextBelow(200);
+          break;
+        default:
+          break;
+      }
+      block_dr.length = ref_dr.length = length;
+      block_dr.capture = ref_dr.capture = RandomBits(&rng, capture_size);
+      // TDI image: empty, the register's length, or (as when link noise
+      // redirects the chain select) shorter or longer than the register.
+      size_t out_size = 0;
+      switch ((trial / 3) % 4) {
+        case 1:
+          out_size = length;
+          break;
+        case 2:
+          out_size = rng.NextBelow(length);
+          break;
+        case 3:
+          out_size = length + 1 + rng.NextBelow(200);
+          break;
+        default:
+          break;
+      }
+      const util::BitVec out = RandomBits(&rng, out_size);
+      if (rng.NextBool()) {
+        // Park both in Test-Logic-Reset; LoadInstruction accepts it.
+        for (int i = 0; i < 5; ++i) {
+          block.Clock(true, false);
+          ref.Clock(true, false);
+        }
+      }
+      block.LoadInstruction(TapInstruction::kIntest);
+      ref.LoadInstruction(TapInstruction::kIntest);
+
+      util::BitVec captured = RandomBits(&rng, rng.NextBelow(300));
+      block.ShiftDataInto(out, &captured);
+      const util::BitVec expected = ReferenceShift(&ref, length, out);
+      EXPECT_EQ(captured, expected);
+      EXPECT_EQ(block_dr.updates, ref_dr.updates);
+      EXPECT_EQ(block_dr.updated, ref_dr.updated);
+      ExpectSameController(block, ref);
+    }
+  }
 }
 
 // --- scan chains over a CPU -----------------------------------------------

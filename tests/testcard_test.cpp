@@ -139,6 +139,95 @@ TEST_F(TestCardTest, LinkTimeGrowsWithScanTraffic) {
   EXPECT_GT(after_large - after_small, (after_small - before) * 2);
 }
 
+// The link model, pinned exactly. From Run-Test/Idle an IR load is 10 TCK
+// and a DR scan of an L-bit register is L + 5 (3 clocks in, L shifting, 2
+// out). A chain access is SCAN_N load + 3-bit select scan + INTEST load +
+// one full-length chain scan (two for a restored read): 33 + L per write,
+// 38 + 2L per restored read.
+struct ChainCost {
+  const char* chain;
+  uint64_t tck_per_read;
+  uint64_t tck_per_write;
+};
+constexpr ChainCost kChainCosts[] = {
+    {"boundary", 358, 193},
+    {"internal_core", 488, 258},
+    {"internal_regfile", 1062, 545},
+    {"internal_icache", 5926, 2977},
+    {"internal_dcache", 5926, 2977},
+};
+
+TEST_F(TestCardTest, TckCountPerRestoredReadIsExact) {
+  ASSERT_TRUE(card_.Init().ok());
+  for (const ChainCost& cost : kChainCosts) {
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      const uint64_t before = card_.tck_count();
+      const double link_before = card_.link_time_us();
+      (void)card_.ReadScanChain(cost.chain, true).ValueOrDie();
+      EXPECT_EQ(card_.tck_count() - before, cost.tck_per_read) << cost.chain;
+      // 50 us per operation plus one 0.1 us TCK period per clock at 10 MHz.
+      EXPECT_DOUBLE_EQ(card_.link_time_us() - link_before,
+                       50.0 + static_cast<double>(cost.tck_per_read) / 10.0)
+          << cost.chain;
+    }
+  }
+}
+
+TEST_F(TestCardTest, TckCountPerWriteIsExact) {
+  ASSERT_TRUE(card_.Init().ok());
+  for (const ChainCost& cost : kChainCosts) {
+    const util::BitVec image =
+        card_.ReadScanChain(cost.chain, true).ValueOrDie();
+    const uint64_t before = card_.tck_count();
+    ASSERT_TRUE(card_.WriteScanChain(cost.chain, image).ok());
+    EXPECT_EQ(card_.tck_count() - before, cost.tck_per_write) << cost.chain;
+  }
+}
+
+TEST(TestCardNoiseTest, ScriptedNoisySequenceIsPinned) {
+  // Read / inject / write / read on a 2% BER link with a fixed noise seed.
+  // Every TDI and TDO bit draws from the noise RNG in shift order, so the
+  // images, the link time and the RNG state after the sequence are exact.
+  LinkConfig link;
+  link.bit_error_rate = 0.02;
+  link.noise_seed = 0x5EED5EEDull;
+  SimTestCard card(cpu::CpuConfig(), link);
+  ASSERT_TRUE(card.Init().ok());
+  for (int r = 1; r < 16; ++r) {
+    card.mutable_cpu().set_reg(r, 0x01010101u * static_cast<uint32_t>(r));
+  }
+  util::BitVec image =
+      card.ReadScanChain("internal_regfile", false).ValueOrDie();
+  const std::string read_hex = image.ToHex();
+  image.Flip(5 * 32 + 7);
+  ASSERT_TRUE(card.WriteScanChain("internal_regfile", image).ok());
+  const uint32_t r5_after_write = card.cpu().reg(5);
+  const std::string reread_hex =
+      card.ReadScanChain("internal_regfile", true).ValueOrDie().ToHex();
+  const std::string core_hex =
+      card.ReadScanChain("internal_core", true).ValueOrDie().ToHex();
+  const util::Rng::State noise =
+      card.SaveSnapshot().ValueOrDie().noise.GetState();
+  EXPECT_EQ(read_hex,
+            "0x0f0f0f0f0a0e0e0e0c0d0d0d0e4c0c2c8b0b0b0b8a0a0b0a09090d0908080808"
+            "0747070646061604050505050404042403030303220202020301010100200000");
+  // This seed flips a bit of the write's SCAN_N select scan, so the write
+  // addresses chain index 6 (no such chain: a 1-bit register) and the
+  // register file keeps its destructively read, noise-filled contents.
+  EXPECT_EQ(r5_after_write, 4u);
+  EXPECT_EQ(reread_hex,
+            "0x04a1000000500000020000000000000002200001100000000000012000000004"
+            "0000000000000000041000040000100200000040100000000008400000000000");
+  EXPECT_EQ(core_hex,
+            "0x0000000000000004000000004000004010000000000080000000000000000000");
+  EXPECT_EQ(card.tck_count(), 2135u);
+  EXPECT_DOUBLE_EQ(card.link_time_us(), 463.5);
+  EXPECT_EQ(noise.s[0], 0x9990e92d044de2b7ull);
+  EXPECT_EQ(noise.s[1], 0x3ccbd173bc03518cull);
+  EXPECT_EQ(noise.s[2], 0x8005aa0288ec8d6dull);
+  EXPECT_EQ(noise.s[3], 0x757928ae59eff7a9ull);
+}
+
 TEST_F(TestCardTest, WorkloadEntryFollowsStartSymbol) {
   ASSERT_TRUE(card_.Init().ok());
   ASSERT_TRUE(card_.LoadWorkload(Program(

@@ -280,6 +280,43 @@ TEST(BitVecTest, ToHexWholeWords) {
   EXPECT_EQ(bits.ToHex(), "0x000000001234abcd");
 }
 
+TEST(BitVecTest, WordOpsMatchPerBitReference) {
+  // Every offset in the first three words, widths at and around the word
+  // and half-word boundaries; vectors either end exactly at the accessed
+  // range (deposits touching size()) or run well past it.
+  Rng rng(0xB17B17);
+  constexpr size_t kWidths[] = {0, 1, 31, 32, 33, 63, 64};
+  for (size_t width : kWidths) {
+    for (size_t offset = 0; offset < 192; ++offset) {
+      for (size_t size : {offset + width, size_t{256}}) {
+        SCOPED_TRACE("offset " + std::to_string(offset) + " width " +
+                     std::to_string(width) + " size " + std::to_string(size));
+        BitVec bits(size);
+        for (size_t i = 0; i < size; ++i) bits.Set(i, rng.NextBool());
+
+        uint64_t expected_word = 0;
+        for (size_t b = 0; b < width; ++b) {
+          if (bits.Get(offset + b)) expected_word |= 1ULL << b;
+        }
+        EXPECT_EQ(bits.ExtractWord(offset, width), expected_word);
+
+        // Random high bits past `width` must be ignored by the deposit.
+        const uint64_t value = rng.Next();
+        BitVec reference = bits;
+        for (size_t b = 0; b < width; ++b) {
+          reference.Set(offset + b, (value >> b) & 1u);
+        }
+        bits.DepositWord(offset, value, width);
+        // Whole-word equality: neighbouring bits are untouched and nothing
+        // spilled past size().
+        EXPECT_EQ(bits, reference);
+        EXPECT_EQ(bits.PopCount(), reference.PopCount());
+        EXPECT_EQ(bits.ToHex(), reference.ToHex());
+      }
+    }
+  }
+}
+
 // --- strings -------------------------------------------------------------------
 
 TEST(StringsTest, SplitPreservesEmptyFields) {
