@@ -38,8 +38,8 @@ struct Row {
   std::string workload;
   uint64_t instret = 0;   ///< retired instructions per run
   double ref_mips = 0;    ///< reference Step() loop
-  double cold_mips = 0;   ///< RunFast, first touch (predecode misses)
-  double fast_mips = 0;   ///< RunFast, decode cache warm
+  double cold_mips = 0;   ///< RunFastEx, first touch (predecode misses)
+  double fast_mips = 0;   ///< RunFastEx, decode cache warm
   double hit_rate = 0;    ///< decode-cache hits / accesses over the sweep
   double speedup() const { return ref_mips > 0 ? fast_mips / ref_mips : 0; }
 };
@@ -106,12 +106,15 @@ Row Measure(const std::string& name) {
   const int reps =
       static_cast<int>(std::max<uint64_t>(20000000 / row.instret, 3));
 
+  // An unbounded superblock run: the same stop conditions as Run(0).
+  const cpu::RunFastRequest unbounded{.max_cycles = 0};
   auto time_runs = [&](cpu::Cpu& cpu, bool use_fast, int n) {
     const auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < n; ++i) {
       restore_data(cpu);
       cpu.Reset(program.value().entry);
-      const cpu::StepOutcome outcome = use_fast ? cpu.RunFast(0) : cpu.Run(0);
+      const cpu::StepOutcome outcome =
+          use_fast ? cpu.RunFastEx(unbounded).outcome : cpu.Run(0);
       if (outcome != cpu::StepOutcome::kHalted) std::abort();
       if (cpu.instructions_retired() != row.instret) std::abort();
     }
@@ -119,11 +122,13 @@ Row Measure(const std::string& name) {
     return static_cast<double>(row.instret) * n / seconds / 1e6;
   };
 
-  // Cold: first-ever RunFast on this CPU — every predecode is a miss.
+  // Cold: first-ever RunFastEx on this CPU — every predecode is a miss.
   restore_data(fast);
   const auto cold_start = std::chrono::steady_clock::now();
   fast.Reset(program.value().entry);
-  if (fast.RunFast(0) != cpu::StepOutcome::kHalted) std::abort();
+  if (fast.RunFastEx(unbounded).outcome != cpu::StepOutcome::kHalted) {
+    std::abort();
+  }
   row.cold_mips =
       static_cast<double>(row.instret) / SecondsSince(cold_start) / 1e6;
 

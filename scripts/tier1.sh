@@ -44,10 +44,13 @@ cmake --build "$TSAN_DIR" -j "$JOBS" --target thread_pool_test parallel_runner_t
 "$TSAN_DIR"/tests/memory_cow_test --gtest_filter='MemoryCowRunnerTest.*'
 "$TSAN_DIR"/tests/static_analysis_test --gtest_filter='RunStaticTest.*'
 
-echo "== tier-1: ASan pass (superblock fast-path differential fuzzer) =="
+echo "== tier-1: ASan pass, asserts on (superblock fast-path differential fuzzer) =="
 ASAN_DIR="${BUILD_DIR}-asan"
-cmake -B "$ASAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGOOFI_SANITIZE=address
-cmake --build "$ASAN_DIR" -j "$JOBS" --target cpu_fastpath_test convergence_test sql_index_test equivalence_test archive_test memory_cow_test static_analysis_test scan_test testcard_test util_test
+# RelWithDebInfo's flags minus -DNDEBUG: the BitVec / TAP / scan-chain
+# asserts run in this pass.
+cmake -B "$ASAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" -DGOOFI_SANITIZE=address
+cmake --build "$ASAN_DIR" -j "$JOBS" --target cpu_fastpath_test convergence_test sql_index_test equivalence_test archive_test memory_cow_test static_analysis_test scan_test testcard_test util_test checkpoint_test algorithms_test
 "$ASAN_DIR"/tests/cpu_fastpath_test
 
 echo "== tier-1: ASan pass (COW paged memory differential fuzzer) =="
@@ -68,10 +71,15 @@ echo "== tier-1: ASan pass (indexed-vs-scan SQL differential suite) =="
 echo "== tier-1: ASan pass (archive codec/snapshot/WAL-recovery suite) =="
 "$ASAN_DIR"/tests/archive_test
 
-echo "== tier-1: ASan pass (block Shift-DR differential + BitVec word-op fuzz + pinned link model) =="
+echo "== tier-1: ASan pass (block Shift-DR differential + RunUntilEvent vs StepAndCheck + BitVec word-op fuzz + pinned link model) =="
 "$ASAN_DIR"/tests/scan_test
 "$ASAN_DIR"/tests/testcard_test
 "$ASAN_DIR"/tests/util_test
+
+echo "== tier-1: ASan pass (golden-run checkpoint suite + noisy-link SCIFI injection) =="
+"$ASAN_DIR"/tests/checkpoint_test
+"$ASAN_DIR"/tests/algorithms_test \
+  --gtest_filter='NoisyLinkTest.*:AlgorithmsTest.RerunRejectsFaultBitOutsideItsChain'
 
 echo "== tier-1: UBSan pass (superblock fast-path differential fuzzer + scan/BitVec word-op suites) =="
 UBSAN_DIR="${BUILD_DIR}-ubsan"
@@ -116,5 +124,8 @@ cmake --build "$BUILD_DIR" -j "$JOBS" --target bench_memory_reset
 echo "== tier-1: static fault-space pruning benchmark (BENCH_static_prune.json) =="
 cmake --build "$BUILD_DIR" -j "$JOBS" --target bench_static_prune
 "$BUILD_DIR"/bench/bench_static_prune --json "$BUILD_DIR"/BENCH_static_prune.json
+
+echo "== tier-1: source size and duplication report (information only, not a gate) =="
+python3 scripts/dup_report.py --min-shared 20 || echo "dup_report: could not run"
 
 echo "tier-1: OK${LINT_NOTE}"

@@ -24,15 +24,13 @@
 #include <memory>
 
 #include "core/framework.hpp"
+#include "core/workload_binding.hpp"
 #include "cpu/cpu.hpp"
-#include "env/environment.hpp"
-#include "env/workloads.hpp"
-#include "isa/assembler.hpp"
-#include "util/crc32.hpp"
 
 namespace goofi::core {
 
-class SwifiSimTarget : public FrameworkTarget {
+class SwifiSimTarget : public FrameworkTarget,
+                       private BoundaryEngine::Host {
  public:
   SwifiSimTarget(CampaignStore* store,
                  const cpu::CpuConfig& config = cpu::CpuConfig());
@@ -43,11 +41,6 @@ class SwifiSimTarget : public FrameworkTarget {
   static TargetSystemData Describe(const std::string& name = kTargetName);
 
   const cpu::Cpu& cpu() const { return *cpu_; }
-
-  /// Superblock fast path on/off (on by default). Off runs the reference
-  /// Step() loops, for differential byte-identical-DB suites.
-  bool use_fast_run() const { return use_fast_run_; }
-  void set_use_fast_run(bool enabled) { use_fast_run_ = enabled; }
 
   /// Checkpoint fast-forward support: the golden run snapshots the CPU
   /// (registers, caches, memory delta) plus the environment simulator,
@@ -91,10 +84,10 @@ class SwifiSimTarget : public FrameworkTarget {
   // the Framework's diagnostic (see class comment).
 
  private:
-  util::Status EnsureWorkload();
   util::Status ServiceIteration();
-  /// Steps until `stop_instr` retired instructions (0 = no breakpoint),
-  /// servicing environment exchanges; sets bookkeeping on termination.
+  /// Runs until `stop_instr` retired instructions (0 = no breakpoint),
+  /// servicing environment exchanges and convergence boundaries; sets
+  /// bookkeeping on termination.
   util::Status RunUntil(uint64_t stop_instr);
   bool Terminated() const;
   util::Status ApplyMemoryFaults();
@@ -102,59 +95,21 @@ class SwifiSimTarget : public FrameworkTarget {
   /// deterministic cold prologue: InitTestCard/LoadWorkload/WriteMemory +
   /// MarkMemoryBaseline), once per workload per target instance.
   util::Status EnsureWarmBaseline();
-  util::Status CaptureCheckpoint(CheckpointCache* cache);
-  /// Digests everything that can shape the rest of this experiment: the
-  /// CPU's full execution state plus the host-side per-experiment
-  /// accumulators (actuator CRC, iteration count, plant state).
-  util::Status HashTargetNow(cpu::StateHasher* hasher);
   /// Whether the experiment entering WaitForTermination qualifies for
   /// convergence pruning against the installed golden trace.
   bool CanPruneExperiment() const;
-  /// Boundary action for RunUntil when prune_next_check_ is reached:
-  /// capture (golden pass) or compare-and-maybe-converge
-  /// (experiment). Advances prune_next_check_; may set converged_ or clear
-  /// prune_active_.
-  util::Status AtBoundary();
+
+  // BoundaryEngine::Host: the CPU's full execution state plus the host-side
+  // accumulators; the CPU snapshot plus the same accumulators.
+  util::Status HashBoundaryState(cpu::StateHasher* hasher) override;
+  util::Status CaptureCheckpoint(CheckpointCache* cache) override;
 
   std::unique_ptr<cpu::Cpu> cpu_;
+  WorkloadBinding workload_;
+  BoundaryEngine boundary_;
 
-  env::WorkloadSpec workload_;
-  isa::AssembledProgram program_;
-  bool workload_ready_ = false;
-  std::unique_ptr<env::EnvironmentSimulator> environment_;
-  uint32_t input_addr_ = 0;
-  uint32_t output_addr_ = 0;
-  uint32_t loop_end_addr_ = 0;
-  uint32_t result_addr_ = 0;
-
-  int iterations_ = 0;
   bool timed_out_ = false;
-  util::Crc32 actuator_crc_;
   std::vector<uint32_t> outputs_;
-  bool use_fast_run_ = true;
-
-  // Convergence-pruning state for the current run phase (see ThorRdTarget
-  // for the full protocol). converged_ means the rest of the run is
-  // synthesized from synth_state_.
-  bool prune_active_ = false;
-  bool converged_ = false;
-  uint64_t prune_next_check_ = 0;
-  LoggedState synth_state_;
-  // Golden-pass products; golden_interval_ is nonzero only during
-  // BuildGoldenRun.
-  uint64_t golden_interval_ = 0;
-  CheckpointCache* capture_cache_ = nullptr;
-  GoldenTrace* capture_trace_ = nullptr;
-
-  // First post-injection boundary whose state diverged from golden: the
-  // cross-experiment memo candidate, inserted in CollectState.
-  bool memo_pending_ = false;
-  uint64_t memo_instret_ = 0;
-  uint64_t memo_hash_ = 0;
-  std::vector<uint8_t> memo_blob_;
-
-  /// Plant-state buffer reused across boundary hashes.
-  std::vector<double> env_state_scratch_;
 
   /// Workload the memory baseline was established for; empty = none yet.
   std::string warm_ready_workload_;

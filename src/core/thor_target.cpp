@@ -16,20 +16,20 @@ namespace {
 /// consumed in this translation unit only.
 struct ThorPayload final : CheckpointPayload {
   testcard::CardSnapshot card;
-  int iterations = 0;
-  uint32_t crc_state = 0;
-  std::vector<double> env_state;
+  WorkloadBinding::HostState host;
 
   size_t MemoryBytes() const override {
     return sizeof(ThorPayload) + card.MemoryBytes() +
-           env_state.size() * sizeof(double);
+           host.env_state.size() * sizeof(double);
   }
 };
 
 }  // namespace
 
 ThorRdTarget::ThorRdTarget(CampaignStore* store, testcard::TestCard* card)
-    : FaultInjectionAlgorithms(store), card_(card) {}
+    : FaultInjectionAlgorithms(store),
+      card_(card),
+      boundary_(this, &prune_stats_) {}
 
 TargetSystemData ThorRdTarget::DescribeTarget(const testcard::TestCard& card,
                                               const std::string& name) {
@@ -47,69 +47,26 @@ TargetSystemData ThorRdTarget::DescribeTarget(const testcard::TestCard& card,
   return data;
 }
 
-util::Status ThorRdTarget::EnsureWorkload() {
-  if (workload_ready_ && workload_.name == campaign_.workload) {
-    return util::Status::Ok();
-  }
-  auto spec = env::GetWorkload(campaign_.workload);
-  if (!spec.ok()) return spec.status();
-  workload_ = std::move(spec).value();
-  auto program = isa::Assemble(workload_.source);
-  if (!program.ok()) return program.status();
-  program_ = std::move(program).value();
-
-  environment_.reset();
-  input_addr_ = output_addr_ = loop_end_addr_ = result_addr_ = 0;
-  if (workload_.infinite_loop) {
-    if (workload_.environment == "inverted_pendulum") {
-      environment_ = std::make_unique<env::InvertedPendulum>();
-    } else if (workload_.environment == "cruise_control") {
-      environment_ = std::make_unique<env::CruiseControl>();
-    } else if (!workload_.environment.empty()) {
-      return util::InvalidArgument("unknown environment simulator " +
-                                   workload_.environment);
-    }
-    auto io = program_.Symbol(workload_.input_symbol);
-    if (!io.ok()) return io.status();
-    input_addr_ = io.value();
-    output_addr_ = input_addr_ + workload_.input_words * 4;
-    auto loop_end = program_.Symbol(workload_.iteration_symbol);
-    if (!loop_end.ok()) return loop_end.status();
-    loop_end_addr_ = loop_end.value();
-  } else if (!workload_.result_symbol.empty()) {
-    auto result = program_.Symbol(workload_.result_symbol);
-    if (!result.ok()) return result.status();
-    result_addr_ = result.value();
-  }
-  workload_ready_ = true;
-  return util::Status::Ok();
-}
-
 util::Status ThorRdTarget::InitTestCard() {
   GOOFI_RETURN_IF_ERROR(card_->Init());
-  iterations_ = 0;
+  workload_.ResetAccumulators();
   timed_out_ = false;
   injection_done_ = false;
   terminated_before_injection_ = false;
   activations_done_ = 0;
   next_activation_ = 0;
-  actuator_crc_.Reset();
   outputs_.clear();
   inject_images_.clear();
   observe_images_.clear();
-  prune_active_ = false;
-  converged_ = false;
-  prune_next_check_ = 0;
   reactivation_armed_ = false;
-  memo_pending_ = false;
-  memo_blob_.clear();
+  boundary_.Reset();
   return util::Status::Ok();
 }
 
 util::Status ThorRdTarget::LoadWorkload() {
-  GOOFI_RETURN_IF_ERROR(EnsureWorkload());
-  GOOFI_RETURN_IF_ERROR(card_->LoadWorkload(program_));
-  if (environment_) environment_->Reset();
+  GOOFI_RETURN_IF_ERROR(workload_.Bind(campaign_.workload));
+  GOOFI_RETURN_IF_ERROR(card_->LoadWorkload(workload_.program()));
+  if (workload_.environment() != nullptr) workload_.environment()->Reset();
   if (golden_image_workload_ != campaign_.workload) {
     // Declare the downloaded image as the shared golden page set, once per
     // workload: every later download of the same image repoints at it
@@ -124,9 +81,10 @@ util::Status ThorRdTarget::LoadWorkload() {
 }
 
 util::Status ThorRdTarget::WriteMemory() {
-  if (environment_ == nullptr) return util::Status::Ok();
+  if (workload_.environment() == nullptr) return util::Status::Ok();
   // "the workload and initial input data is downloaded to the system" (§3.3).
-  return card_->WriteMemory(input_addr_, environment_->Sense());
+  return card_->WriteMemory(workload_.input_addr(),
+                            workload_.environment()->Sense());
 }
 
 void ThorRdTarget::ArmTriggers(bool with_injection_breakpoint,
@@ -135,10 +93,10 @@ void ThorRdTarget::ArmTriggers(bool with_injection_breakpoint,
   iteration_trigger_ = breakpoint_trigger_ = reactivation_trigger_ = -1;
   prune_trigger_ = -1;
   reactivation_armed_ = with_reactivation;
-  if (environment_ != nullptr) {
+  if (workload_.environment() != nullptr) {
     scan::Trigger trigger;
     trigger.kind = scan::TriggerKind::kPcBreakpoint;
-    trigger.address = loop_end_addr_;
+    trigger.address = workload_.loop_end_addr();
     trigger.occurrence = 1;
     iteration_trigger_ = card_->AddTrigger(trigger);
   }
@@ -159,10 +117,10 @@ void ThorRdTarget::ArmTriggers(bool with_injection_breakpoint,
   // or a reactivation, RunLoop services those first and the boundary action
   // runs at the loop top afterwards — the same post-servicing program point
   // the golden trace captured at.
-  if (prune_active_ && !converged_) {
+  if (boundary_.watching()) {
     scan::Trigger trigger;
     trigger.kind = scan::TriggerKind::kInstrCount;
-    trigger.count = prune_next_check_;
+    trigger.count = boundary_.next_check();
     prune_trigger_ = card_->AddTrigger(trigger);
   }
 }
@@ -177,17 +135,16 @@ util::Status ThorRdTarget::RunWorkload() {
 
 bool ThorRdTarget::Terminated() const {
   return card_->cpu().halted() || card_->cpu().detected() || timed_out_ ||
-         (environment_ != nullptr && iterations_ >= campaign_.max_iterations);
+         (workload_.environment() != nullptr &&
+          workload_.iterations() >= campaign_.max_iterations);
 }
 
 util::Status ThorRdTarget::ServiceIteration() {
-  auto outputs = card_->ReadMemory(output_addr_, workload_.output_words);
+  auto outputs =
+      card_->ReadMemory(workload_.output_addr(), workload_.spec().output_words);
   if (!outputs.ok()) return outputs.status();
-  for (uint32_t word : outputs.value()) actuator_crc_.UpdateWord(word);
-  const std::vector<uint32_t> inputs = environment_->Exchange(outputs.value());
-  GOOFI_RETURN_IF_ERROR(card_->WriteMemory(input_addr_, inputs));
-  ++iterations_;
-  return util::Status::Ok();
+  return card_->WriteMemory(workload_.input_addr(),
+                            workload_.Exchange(outputs.value()));
 }
 
 util::Status ThorRdTarget::ReactivateFaults() {
@@ -200,13 +157,8 @@ util::Status ThorRdTarget::ReactivateFaults() {
       if (!image.ok()) return image.status();
       images.emplace(fault.chain, std::move(image).value());
     }
-    util::BitVec& image = images.at(fault.chain);
-    if (fault.kind == FaultModelKind::kPermanentStuckAt) {
-      image.Set(fault.chain_bit, fault.stuck_value);
-    } else {
-      image.Flip(fault.chain_bit);
-    }
   }
+  GOOFI_RETURN_IF_ERROR(FlipScanFaults(&images));
   for (const auto& [chain, image] : images) {
     GOOFI_RETURN_IF_ERROR(card_->WriteScanChain(chain, image));
   }
@@ -215,19 +167,39 @@ util::Status ThorRdTarget::ReactivateFaults() {
     if (fault.IsScanFault()) continue;
     auto word = card_->ReadMemory(fault.address, 1);
     if (!word.ok()) return word.status();
-    uint32_t value = word.value()[0];
-    if (fault.kind == FaultModelKind::kPermanentStuckAt) {
-      if (fault.stuck_value) {
-        value |= (1u << fault.bit);
-      } else {
-        value &= ~(1u << fault.bit);
-      }
-    } else {
-      value ^= (1u << fault.bit);
-    }
-    GOOFI_RETURN_IF_ERROR(card_->WriteMemory(fault.address, {value}));
+    GOOFI_RETURN_IF_ERROR(
+        card_->WriteMemory(fault.address, {fault.ApplyToWord(word.value()[0])}));
   }
   ++activations_done_;
+  return util::Status::Ok();
+}
+
+util::Status ThorRdTarget::FlipScanFaults(
+    std::map<std::string, util::BitVec>* images) const {
+  for (const auto& [chain, image] : *images) {
+    const scan::ScanChain* target = card_->chains().Find(chain);
+    if (target == nullptr) return util::NotFound("no scan chain " + chain);
+    if (image.size() != target->length_bits()) {
+      return util::InvalidArgument("image size mismatch for chain " + chain);
+    }
+  }
+  for (const FaultInstance& fault : faults_) {
+    if (!fault.IsScanFault()) continue;
+    auto it = images->find(fault.chain);
+    if (it == images->end()) {
+      return util::Internal("InjectFault before ReadScanChain for chain " +
+                            fault.chain);
+    }
+    if (fault.chain_bit >= it->second.size()) {
+      return util::InvalidArgument(util::Format(
+          "fault bit %u outside chain %s", fault.chain_bit, fault.chain.c_str()));
+    }
+    if (fault.kind == FaultModelKind::kPermanentStuckAt) {
+      it->second.Set(fault.chain_bit, fault.stuck_value);
+    } else {
+      it->second.Flip(fault.chain_bit);
+    }
+  }
   return util::Status::Ok();
 }
 
@@ -240,10 +212,9 @@ util::Status ThorRdTarget::RunLoop(bool stop_at_breakpoint) {
     // captured at. The re-arm is unconditional: it drops the fired (level-
     // comparing) boundary trigger and installs one for the next boundary
     // while preserving the iteration and reactivation triggers.
-    if (prune_active_ && !converged_ &&
-        card_->cpu().instructions_retired() >= prune_next_check_) {
+    if (boundary_.Due(card_->cpu().instructions_retired())) {
       GOOFI_RETURN_IF_ERROR(AtBoundary());
-      if (converged_) return util::Status::Ok();
+      if (boundary_.converged()) return util::Status::Ok();
       ArmTriggers(/*with_injection_breakpoint=*/false, reactivation_armed_);
     }
     const scan::DebugRunResult result = card_->Run(campaign_.timeout_cycles);
@@ -256,8 +227,7 @@ util::Status ThorRdTarget::RunLoop(bool stop_at_breakpoint) {
     }
     if (result.fired_trigger == iteration_trigger_ && iteration_trigger_ >= 0) {
       GOOFI_RETURN_IF_ERROR(ServiceIteration());
-      if (iterations_ >= campaign_.max_iterations) return util::Status::Ok();
-      continue;
+      continue;  // the loop top ends the run at max_iterations
     }
     if (stop_at_breakpoint && result.fired_trigger == breakpoint_trigger_ &&
         breakpoint_trigger_ >= 0) {
@@ -291,17 +261,17 @@ util::Status ThorRdTarget::RunLoopDetail() {
   while (!Terminated() && detail_log_.size() < kMaxDetailRows) {
     // Convergence boundary, post-step and post-servicing like RunLoop's
     // loop-top check (row instret values are post-step, so the state here is
-    // the state after retiring exactly prune_next_check_ instructions). No
+    // the state after retiring exactly the boundary's instruction count). No
     // triggers to re-arm on this path: single-stepping checks every
     // retirement, so the boundary hits exactly.
-    if (prune_active_ && !converged_ &&
-        card_->cpu().instructions_retired() >= prune_next_check_) {
+    if (boundary_.Due(card_->cpu().instructions_retired())) {
       GOOFI_RETURN_IF_ERROR(AtBoundary());
-      if (converged_) return util::Status::Ok();
+      if (boundary_.converged()) return util::Status::Ok();
     }
     const uint32_t exec_pc = card_->cpu().pc();
     const cpu::StepOutcome outcome = card_->SingleStep();
-    if (environment_ != nullptr && exec_pc == loop_end_addr_) {
+    if (workload_.environment() != nullptr &&
+        exec_pc == workload_.loop_end_addr()) {
       GOOFI_RETURN_IF_ERROR(ServiceIteration());
     }
     if (card_->cpu().cycles() >= campaign_.timeout_cycles) timed_out_ = true;
@@ -309,7 +279,7 @@ util::Status ThorRdTarget::RunLoopDetail() {
     LoggedState snapshot;
     snapshot.cycles = card_->cpu().cycles();
     snapshot.instret = card_->cpu().instructions_retired();
-    snapshot.iterations = iterations_;
+    snapshot.iterations = workload_.iterations();
     snapshot.halted = outcome == cpu::StepOutcome::kHalted;
     snapshot.detected = outcome == cpu::StepOutcome::kDetected;
     if (snapshot.detected) {
@@ -351,9 +321,7 @@ util::Status ThorRdTarget::CaptureCheckpoint(CheckpointCache* cache) {
   if (!card.ok()) return card.status();
   auto payload = std::make_shared<ThorPayload>();
   payload->card = std::move(card).value();
-  payload->iterations = iterations_;
-  payload->crc_state = actuator_crc_.raw_state();
-  if (environment_ != nullptr) payload->env_state = environment_->SaveState();
+  payload->host = workload_.SaveHostState();
   Checkpoint checkpoint;
   checkpoint.instret = card_->cpu().instructions_retired();
   checkpoint.payload = std::move(payload);
@@ -395,23 +363,14 @@ util::Status ThorRdTarget::GoldenPass(uint64_t interval, CheckpointCache* cache,
   GOOFI_RETURN_IF_ERROR(EnsureWarmBaseline());
   GOOFI_RETURN_IF_ERROR(card_->ResetTarget());
   detail_log_.clear();
-  golden_interval_ = interval;
-  capture_cache_ = cache;
-  capture_trace_ = trace;
-  prune_active_ = true;
-  converged_ = false;
-  prune_next_check_ = 0;  // first capture at instret 0, then every interval
-  ArmTriggers(/*with_injection_breakpoint=*/false, /*with_reactivation=*/false);
   const bool detail =
       trace != nullptr && campaign_.log_mode == LogMode::kDetail;
-  const util::Status run =
-      detail ? RunLoopDetail() : RunLoop(/*stop_at_breakpoint=*/false);
-  golden_interval_ = 0;
-  capture_cache_ = nullptr;
-  capture_trace_ = nullptr;
-  prune_active_ = false;
-  converged_ = false;
-  GOOFI_RETURN_IF_ERROR(run);
+  GOOFI_RETURN_IF_ERROR(boundary_.RunGoldenPass(
+      interval, campaign_.inject_max_instr, cache, trace, [&] {
+        ArmTriggers(/*with_injection_breakpoint=*/false,
+                    /*with_reactivation=*/false);
+        return detail ? RunLoopDetail() : RunLoop(/*stop_at_breakpoint=*/false);
+      }));
   if (trace == nullptr) return util::Status::Ok();
   // The standard experiment epilogue, so the golden final state is row-
   // identical to what a full fault-free experiment would log.
@@ -431,141 +390,31 @@ util::Status ThorRdTarget::GoldenPass(uint64_t interval, CheckpointCache* cache,
   return util::Status::Ok();
 }
 
-util::Status ThorRdTarget::HashTargetNow(cpu::StateHasher* hasher) {
+util::Status ThorRdTarget::HashBoundaryState(cpu::StateHasher* hasher) {
   GOOFI_RETURN_IF_ERROR(card_->HashTargetState(hasher));
-  // Host-side per-experiment accumulators that shape the remaining run and
-  // the logged outcome: actuator-CRC state, iteration count, plant state.
-  hasher->U32(actuator_crc_.raw_state());
-  hasher->I32(iterations_);
-  if (environment_ != nullptr) {
-    environment_->SaveStateInto(&env_state_scratch_);
-    hasher->U64(env_state_scratch_.size());
-    for (double value : env_state_scratch_) hasher->Double(value);
-  }
+  workload_.HashHostState(hasher);
   return util::Status::Ok();
 }
 
 bool ThorRdTarget::CanPruneExperiment() const {
-  if (!convergence_pruning_ || golden_trace_ == nullptr) return false;
-  const GoldenTrace& trace = *golden_trace_;
-  if (trace.interval() == 0 || !trace.has_final_state()) return false;
-  if (trace.campaign_name() != campaign_.name) return false;
-  if (faults_.empty() || !injection_done_ || terminated_before_injection_) {
-    return false;
-  }
   // Permanent faults re-activate forever: the target can never rejoin the
-  // golden trajectory while the stuck-at keeps being re-applied.
-  if (campaign_.fault_model == FaultModelKind::kPermanentStuckAt) return false;
-  if (!card_->SupportsStateHash()) return false;
-  // Canonical memory hashing digests against the workload's baseline; no
-  // baseline for this workload means no comparable hash.
-  if (warm_ready_workload_ != campaign_.workload) return false;
-  // Detail mode additionally needs the golden suffix rows to synthesize.
-  if (campaign_.log_mode == LogMode::kDetail &&
-      (!trace.detail_complete() || trace.detail_rows().empty())) {
-    return false;
-  }
-  return true;
+  // golden trajectory while the stuck-at keeps being re-applied. Canonical
+  // memory hashing digests against the workload's baseline; no baseline for
+  // this workload means no comparable hash.
+  return convergence_pruning_ && golden_trace_ != nullptr &&
+         golden_trace_->Covers(campaign_.name) && !faults_.empty() &&
+         injection_done_ && !terminated_before_injection_ &&
+         campaign_.fault_model != FaultModelKind::kPermanentStuckAt &&
+         card_->SupportsStateHash() &&
+         warm_ready_workload_ == campaign_.workload;
 }
 
 util::Status ThorRdTarget::AtBoundary() {
-  const uint64_t instret = card_->cpu().instructions_retired();
-  if (golden_interval_ != 0) {
-    // Golden pass. Checkpoints stop at the injection window: no experiment
-    // can use one at or past inject_max_instr (FindBefore is strict).
-    if (capture_cache_ != nullptr) {
-      GOOFI_RETURN_IF_ERROR(CaptureCheckpoint(capture_cache_));
-      if (instret + golden_interval_ >= campaign_.inject_max_instr) {
-        capture_cache_ = nullptr;
-        // Nothing left to record: end a cache-only pass here.
-        if (capture_trace_ == nullptr) converged_ = true;
-      }
-    }
-    if (capture_trace_ != nullptr) {
-      // Record the digest (and its capture blob, the collision guard).
-      cpu::StateHasher hasher(/*capture=*/true);
-      GOOFI_RETURN_IF_ERROR(HashTargetNow(&hasher));
-      GoldenBoundary boundary;
-      boundary.instret = instret;
-      boundary.hash = hasher.hash();
-      boundary.blob = hasher.TakeBlob();
-      capture_trace_->AddBoundary(std::move(boundary));
-    }
-    prune_next_check_ = (instret / golden_interval_ + 1) * golden_interval_;
-    return util::Status::Ok();
-  }
-  const uint64_t interval = golden_trace_->interval();
-  const uint64_t next = (instret / interval + 1) * interval;
-  if (instret != prune_next_check_) {
-    // Overshot the boundary (instruction-count stops are exact, so this
-    // should not happen); skip rather than compare at a non-boundary point.
-    prune_next_check_ = next;
-    return util::Status::Ok();
-  }
-  prune_next_check_ = next;
-  // An intermittent burst still in flight keeps future behavior dependent on
-  // host-side reactivation state the hash does not cover; compare only once
-  // the burst has fully fired.
-  if (campaign_.fault_model == FaultModelKind::kIntermittentBitFlip &&
-      activations_done_ < campaign_.burst_length) {
-    return util::Status::Ok();
-  }
-  const GoldenBoundary* golden = golden_trace_->FindBoundary(instret);
-  if (golden == nullptr) {
-    // The golden run terminated before this point; no later boundary can
-    // match either.
-    prune_active_ = false;
-    return util::Status::Ok();
-  }
-  ++prune_stats_.boundary_checks;
-  cpu::StateHasher hasher(/*capture=*/true);
-  GOOFI_RETURN_IF_ERROR(HashTargetNow(&hasher));
-  if (hasher.hash() == golden->hash) {
-    if (hasher.blob() == golden->blob) {
-      if (campaign_.log_mode == LogMode::kDetail) {
-        // Synthesize the remaining detail rows from the golden suffix
-        // (rows past this boundary; row instret values increase strictly).
-        const std::vector<LoggedState>& rows = golden_trace_->detail_rows();
-        const auto suffix_begin = std::upper_bound(
-            rows.begin(), rows.end(), instret,
-            [](uint64_t value, const LoggedState& row) {
-              return value < row.instret;
-            });
-        const size_t suffix = static_cast<size_t>(rows.end() - suffix_begin);
-        if (detail_log_.size() + suffix > kMaxDetailRows) {
-          // A full run would hit the row cap mid-suffix and stop with that
-          // row's state; synthesizing that is not worth the complexity, and
-          // the overflow persists at every later boundary — give up.
-          prune_active_ = false;
-          return util::Status::Ok();
-        }
-        detail_log_.insert(detail_log_.end(), suffix_begin, rows.end());
-      }
-      synth_state_ = golden_trace_->final_state();
-      converged_ = true;
-      ++prune_stats_.pruned_golden;
-      return util::Status::Ok();
-    }
-    ++prune_stats_.collision_rejects;
-  }
-  // Divergent state: try the cross-experiment memo (normal mode only —
-  // detail rows are not memoized), and remember the first such boundary as
-  // this experiment's memo candidate.
-  if (campaign_.log_mode != LogMode::kNormal) return util::Status::Ok();
-  if (convergence_memo_ != nullptr &&
-      convergence_memo_->Lookup(instret, hasher.hash(), hasher.blob(),
-                                &synth_state_)) {
-    converged_ = true;
-    ++prune_stats_.pruned_memo;
-    return util::Status::Ok();
-  }
-  if (!memo_pending_) {
-    memo_pending_ = true;
-    memo_instret_ = instret;
-    memo_hash_ = hasher.hash();
-    memo_blob_ = hasher.TakeBlob();
-  }
-  return util::Status::Ok();
+  const bool burst_settled =
+      campaign_.fault_model != FaultModelKind::kIntermittentBitFlip ||
+      activations_done_ >= campaign_.burst_length;
+  return boundary_.AtBoundary(card_->cpu().instructions_retired(),
+                              burst_settled);
 }
 
 util::Status ThorRdTarget::RestoreCheckpoint(const Checkpoint& checkpoint) {
@@ -579,22 +428,16 @@ util::Status ThorRdTarget::RestoreCheckpoint(const Checkpoint& checkpoint) {
   // Per-experiment bookkeeping exactly as a cold run carries it to this
   // instruction: injection still ahead, no timeout, accumulated iteration
   // count / CRC / plant state from the fault-free prefix.
-  iterations_ = payload->iterations;
+  workload_.RestoreHostState(payload->host);
   timed_out_ = false;
   injection_done_ = false;
   terminated_before_injection_ = false;
   activations_done_ = 0;
   next_activation_ = 0;
-  actuator_crc_.set_raw_state(payload->crc_state);
   outputs_.clear();
   inject_images_.clear();
   observe_images_.clear();
-  prune_active_ = false;
-  converged_ = false;
-  prune_next_check_ = 0;
-  memo_pending_ = false;
-  memo_blob_.clear();
-  if (environment_ != nullptr) environment_->RestoreState(payload->env_state);
+  boundary_.Reset();
   // Re-arm as RunWorkload would. The PC breakpoint fires on every execution
   // of the loop boundary regardless of its occurrence counter (occurrence
   // 1), and instruction-count triggers are level-comparators, so fresh
@@ -612,7 +455,7 @@ util::Status ThorRdTarget::WaitForBreakpoint() {
 
 util::Status ThorRdTarget::ReadScanChain() {
   // A converged run takes its observation images from the synthesized state.
-  if (converged_) return util::Status::Ok();
+  if (boundary_.converged()) return util::Status::Ok();
   const bool injection_read = !faults_.empty() && !injection_done_ &&
                               !terminated_before_injection_ &&
                               campaign_.technique == Technique::kScifi;
@@ -639,20 +482,7 @@ util::Status ThorRdTarget::ReadScanChain() {
 
 util::Status ThorRdTarget::InjectFault() {
   if (terminated_before_injection_) return util::Status::Ok();
-  for (const FaultInstance& fault : faults_) {
-    if (!fault.IsScanFault()) continue;
-    auto it = inject_images_.find(fault.chain);
-    if (it == inject_images_.end()) {
-      return util::Internal("InjectFault before ReadScanChain for chain " +
-                            fault.chain);
-    }
-    if (fault.kind == FaultModelKind::kPermanentStuckAt) {
-      it->second.Set(fault.chain_bit, fault.stuck_value);
-    } else {
-      it->second.Flip(fault.chain_bit);
-    }
-  }
-  return util::Status::Ok();
+  return FlipScanFaults(&inject_images_);
 }
 
 util::Status ThorRdTarget::WriteScanChain() {
@@ -675,37 +505,30 @@ util::Status ThorRdTarget::WaitForTermination() {
     next_activation_ = card_->cpu().instructions_retired() +
                        std::max<uint64_t>(1, campaign_.burst_spacing);
   }
-  converged_ = false;
-  memo_pending_ = false;
-  prune_active_ = false;
-  if (CanPruneExperiment()) {
-    // First boundary strictly after the injection point: a faulty run can
-    // only have rejoined the golden trajectory after the fault landed.
-    const uint64_t interval = golden_trace_->interval();
-    prune_next_check_ =
-        (card_->cpu().instructions_retired() / interval + 1) * interval;
-    prune_active_ = true;
-  }
+  const bool detail = campaign_.log_mode == LogMode::kDetail;
+  boundary_.BeginSuffix(card_->cpu().instructions_retired(),
+                        CanPruneExperiment() ? golden_trace_.get() : nullptr,
+                        convergence_memo_.get(),
+                        detail ? &detail_log_ : nullptr, kMaxDetailRows);
   ArmTriggers(false, reactivate);
-  if (campaign_.log_mode == LogMode::kDetail) {
-    return RunLoopDetail();
-  }
+  if (detail) return RunLoopDetail();
   return RunLoop(/*stop_at_breakpoint=*/false);
 }
 
 util::Status ThorRdTarget::ReadMemory() {
   // A converged run takes its outputs from the synthesized state.
-  if (converged_) return util::Status::Ok();
-  if (environment_ != nullptr) {
+  if (boundary_.converged()) return util::Status::Ok();
+  if (workload_.environment() != nullptr) {
     // Control workloads: the trace of actuator commands is the output.
-    outputs_ = {actuator_crc_.Value()};
+    outputs_ = {workload_.actuator_crc()};
     return util::Status::Ok();
   }
-  if (workload_.result_words == 0) {
+  if (workload_.spec().result_words == 0) {
     outputs_.clear();
     return util::Status::Ok();
   }
-  auto words = card_->ReadMemory(result_addr_, workload_.result_words);
+  auto words =
+      card_->ReadMemory(workload_.result_addr(), workload_.spec().result_words);
   if (!words.ok()) return words.status();
   outputs_ = std::move(words).value();
   return util::Status::Ok();
@@ -722,17 +545,8 @@ util::Status ThorRdTarget::MutateImage() {
     }
     auto word = card_->ReadMemory(fault.address, 1);
     if (!word.ok()) return word.status();
-    uint32_t value = word.value()[0];
-    if (fault.kind == FaultModelKind::kPermanentStuckAt) {
-      if (fault.stuck_value) {
-        value |= (1u << fault.bit);
-      } else {
-        value &= ~(1u << fault.bit);
-      }
-    } else {
-      value ^= (1u << fault.bit);
-    }
-    GOOFI_RETURN_IF_ERROR(card_->WriteMemory(fault.address, {value}));
+    GOOFI_RETURN_IF_ERROR(
+        card_->WriteMemory(fault.address, {fault.ApplyToWord(word.value()[0])}));
   }
   injection_done_ = true;
   ++activations_done_;
@@ -746,51 +560,9 @@ util::Status ThorRdTarget::InjectMemoryFault() {
 
 util::Result<std::vector<FaultCandidate>> ThorRdTarget::EnumerateFaultSpace(
     const FaultLocationSelector& selector) {
-  GOOFI_RETURN_IF_ERROR(EnsureWorkload());
-  std::vector<FaultCandidate> out;
-
+  GOOFI_RETURN_IF_ERROR(workload_.Bind(campaign_.workload));
   if (selector.chain == "memory.text" || selector.chain == "memory.data") {
-    uint32_t begin = program_.base_address;
-    uint32_t end = program_.base_address + program_.size_bytes();
-    const auto etext = program_.symbols.find("_etext");
-    if (etext != program_.symbols.end()) {
-      if (selector.chain == "memory.text") {
-        end = etext->second;
-      } else {
-        begin = etext->second;
-      }
-    } else if (selector.chain == "memory.data") {
-      return util::InvalidArgument(
-          "workload has no _etext marker; memory.data is empty");
-    }
-    std::vector<std::pair<uint32_t, uint32_t>> ranges;
-    if (end > begin) ranges.emplace_back(begin, end);
-    // Control workloads keep their working data in the environment I/O
-    // buffer rather than the image; that buffer is part of the "data area"
-    // the paper's pre-runtime SWIFI targets.
-    if (selector.chain == "memory.data" && workload_.infinite_loop) {
-      const uint32_t io_end =
-          input_addr_ + (workload_.input_words + workload_.output_words) * 4;
-      ranges.emplace_back(input_addr_, io_end);
-    }
-    if (ranges.empty()) {
-      return util::InvalidArgument("selector matches no words: " +
-                                   selector.ToString());
-    }
-    for (const auto& [range_begin, range_end] : ranges) {
-      for (uint32_t address = range_begin; address < range_end; address += 4) {
-        for (uint32_t bit = 0; bit < 32; ++bit) {
-          FaultCandidate candidate;
-          candidate.scan = false;
-          candidate.address = address;
-          candidate.bit = bit;
-          candidate.cell_name =
-              util::Format("%s@0x%08x", selector.chain.c_str(), address);
-          out.push_back(std::move(candidate));
-        }
-      }
-    }
-    return out;
+    return workload_.MemoryFaultSpace(selector);
   }
 
   const scan::ScanChain* chain = card_->chains().Find(selector.chain);
@@ -798,6 +570,7 @@ util::Result<std::vector<FaultCandidate>> ThorRdTarget::EnumerateFaultSpace(
     return util::NotFound("no scan chain or memory space named " +
                           selector.chain);
   }
+  std::vector<FaultCandidate> out;
   for (const scan::ScanCell& cell : chain->cells()) {
     if (cell.read_only) continue;
     if (!selector.cell_prefix.empty() &&
@@ -822,37 +595,13 @@ util::Result<std::vector<FaultCandidate>> ThorRdTarget::EnumerateFaultSpace(
 
 util::Result<LoggedState> ThorRdTarget::CollectState() {
   LoggedState state;
-  if (converged_) {
-    state = synth_state_;
+  if (boundary_.converged()) {
+    state = boundary_.synth_state();
   } else {
-    const cpu::Cpu& cpu = card_->cpu();
-    state.detected = cpu.detected();
-    state.halted = cpu.halted() && !cpu.detected();
-    if (state.detected) {
-      state.edm = cpu::EdmTypeName(cpu.edm_event().type);
-      state.edm_code = cpu.edm_event().code;
-    }
-    state.timed_out = timed_out_;
-    state.env_failed = environment_ != nullptr && environment_->Failed();
-    state.cycles = cpu.cycles();
-    state.instret = cpu.instructions_retired();
-    state.iterations = iterations_;
-    state.outputs = outputs_;
+    state = workload_.RunOutcome(card_->cpu(), timed_out_, outputs_);
     state.scan_images = observe_images_;
   }
-  // The experiment's final state is the deterministic outcome of the first
-  // divergent boundary state recorded in AtBoundary — memoize it, whether
-  // this run later converged (via golden or memo) or simulated to the end.
-  if (memo_pending_) {
-    if (convergence_memo_ != nullptr &&
-        campaign_.log_mode == LogMode::kNormal &&
-        convergence_memo_->Insert(memo_instret_, memo_hash_,
-                                  std::move(memo_blob_), state)) {
-      ++prune_stats_.memo_inserts;
-    }
-    memo_pending_ = false;
-    memo_blob_.clear();
-  }
+  boundary_.RecordOutcome(state);
   return state;
 }
 

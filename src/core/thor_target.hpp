@@ -14,15 +14,13 @@
 #include <memory>
 
 #include "core/algorithms.hpp"
-#include "env/environment.hpp"
-#include "env/workloads.hpp"
-#include "isa/assembler.hpp"
+#include "core/workload_binding.hpp"
 #include "testcard/testcard.hpp"
-#include "util/crc32.hpp"
 
 namespace goofi::core {
 
-class ThorRdTarget : public FaultInjectionAlgorithms {
+class ThorRdTarget : public FaultInjectionAlgorithms,
+                     private BoundaryEngine::Host {
  public:
   /// `card` must outlive the target.
   ThorRdTarget(CampaignStore* store, testcard::TestCard* card);
@@ -72,10 +70,6 @@ class ThorRdTarget : public FaultInjectionAlgorithms {
   util::Result<LoggedState> CollectState() override;
 
  private:
-  /// Assembles the campaign's workload if not already cached and resolves
-  /// its I/O layout (environment words, loop boundary, result location).
-  util::Status EnsureWorkload();
-
   /// Reads actuator words, advances the environment, writes sensor words.
   util::Status ServiceIteration();
 
@@ -84,6 +78,12 @@ class ThorRdTarget : public FaultInjectionAlgorithms {
 
   /// Re-applies non-transient faults during WaitForTermination.
   util::Status ReactivateFaults();
+
+  /// Applies the scan faults of `faults_` to the chain images in `images`
+  /// (one per faulted chain). An image whose size is not its chain's length
+  /// (link noise redirected the read to another chain) is refused before
+  /// any bit is touched, with the status WriteScanChain would give it.
+  util::Status FlipScanFaults(std::map<std::string, util::BitVec>* images) const;
 
   /// Runs the target until an event, servicing iteration boundaries.
   /// Returns when the injection breakpoint fires (`stop_at_breakpoint`) or a
@@ -103,9 +103,6 @@ class ThorRdTarget : public FaultInjectionAlgorithms {
   /// canonical memory hashing has a baseline to digest against.
   util::Status EnsureWarmBaseline();
 
-  /// Captures the current golden-run state into `cache`.
-  util::Status CaptureCheckpoint(CheckpointCache* cache);
-
   /// One golden pass: the fault-free workload driven through the experiment
   /// run loop (RunLoopDetail when recording a detail-mode `trace`, RunLoop
   /// otherwise) with the loop-top boundary hook filling `cache` and/or
@@ -115,42 +112,32 @@ class ThorRdTarget : public FaultInjectionAlgorithms {
   util::Status GoldenPass(uint64_t interval, CheckpointCache* cache,
                           GoldenTrace* trace);
 
-  /// Digests everything that can shape the rest of this experiment: the card
-  /// state (CPU + conditional link-noise RNG) plus the host-side per-
-  /// experiment accumulators (actuator CRC, iteration count, plant state).
-  util::Status HashTargetNow(cpu::StateHasher* hasher);
-
   /// Whether the experiment that just finished injecting qualifies for
   /// convergence pruning against the installed golden trace.
   bool CanPruneExperiment() const;
 
-  /// Boundary action for the run loops when prune_next_check_ is reached:
-  /// capture (golden pass) or compare-and-maybe-converge (experiment).
-  /// Advances prune_next_check_ to the next interval multiple; may set
-  /// converged_ or clear prune_active_. Does not re-arm triggers.
+  /// The run loops' boundary stop: the engine's boundary action, with the
+  /// compare held back while an intermittent burst is still re-activating
+  /// (future behaviour then depends on host-side reactivation state the
+  /// digest does not cover).
   util::Status AtBoundary();
 
+  // BoundaryEngine::Host: the card state (CPU + conditional link-noise RNG)
+  // plus the host-side accumulators; the full card snapshot plus the same
+  // accumulators.
+  util::Status HashBoundaryState(cpu::StateHasher* hasher) override;
+  util::Status CaptureCheckpoint(CheckpointCache* cache) override;
+
   testcard::TestCard* card_;
-
-  // Cached workload.
-  env::WorkloadSpec workload_;
-  isa::AssembledProgram program_;
-  bool workload_ready_ = false;
-
-  std::unique_ptr<env::EnvironmentSimulator> environment_;
-  uint32_t input_addr_ = 0;
-  uint32_t output_addr_ = 0;
-  uint32_t loop_end_addr_ = 0;
-  uint32_t result_addr_ = 0;
+  WorkloadBinding workload_;
+  BoundaryEngine boundary_;
 
   // Per-experiment bookkeeping.
-  int iterations_ = 0;
   bool timed_out_ = false;
   bool injection_done_ = false;
   bool terminated_before_injection_ = false;
   uint32_t activations_done_ = 0;
   uint64_t next_activation_ = 0;
-  util::Crc32 actuator_crc_;
   std::vector<uint32_t> outputs_;
   std::map<std::string, util::BitVec> inject_images_;  ///< read-modify-write
   std::map<std::string, std::string> observe_images_;  ///< logged at the end
@@ -159,32 +146,8 @@ class ThorRdTarget : public FaultInjectionAlgorithms {
   int breakpoint_trigger_ = -1;
   int reactivation_trigger_ = -1;
   int prune_trigger_ = -1;
-
-  // Convergence-pruning state for the current run phase. prune_active_ turns
-  // the boundary machinery on; converged_ means the rest of the run is
-  // synthesized from synth_state_ (ReadMemory/ReadScanChain/CollectState
-  // short-circuit). reactivation_armed_ mirrors the last ArmTriggers
-  // reactivation flag so boundary re-arms preserve it.
-  bool prune_active_ = false;
-  bool converged_ = false;
-  uint64_t prune_next_check_ = 0;
+  /// The last ArmTriggers reactivation flag, so boundary re-arms keep it.
   bool reactivation_armed_ = false;
-  LoggedState synth_state_;
-  // Golden-pass products; golden_interval_ is nonzero only during GoldenPass.
-  uint64_t golden_interval_ = 0;
-  CheckpointCache* capture_cache_ = nullptr;
-  GoldenTrace* capture_trace_ = nullptr;
-
-  // First post-injection boundary whose state diverged from golden: the
-  // cross-experiment memo candidate, inserted with the experiment's final
-  // LoggedState in CollectState.
-  bool memo_pending_ = false;
-  uint64_t memo_instret_ = 0;
-  uint64_t memo_hash_ = 0;
-  std::vector<uint8_t> memo_blob_;
-
-  /// Plant-state buffer reused across boundary hashes.
-  std::vector<double> env_state_scratch_;
 
   /// Workload the memory baseline was established for; empty = none yet.
   std::string warm_ready_workload_;

@@ -67,6 +67,14 @@ util::Result<FaultLocationSelector> FaultLocationSelector::Parse(
   return out;
 }
 
+uint32_t FaultInstance::ApplyToWord(uint32_t word) const {
+  const uint32_t mask = 1u << bit;
+  if (kind == FaultModelKind::kPermanentStuckAt) {
+    return stuck_value ? word | mask : word & ~mask;
+  }
+  return word ^ mask;
+}
+
 std::string FaultInstance::Describe() const {
   std::string when = util::Format("@instr %llu",
                                   static_cast<unsigned long long>(inject_instr));
@@ -106,6 +114,11 @@ util::Result<FaultInstance> FaultInstance::Parse(const std::string& text) {
   const auto stuck = util::ParseInt(fields[7]);
   if (!chain_bit || !address || !bit || !inject || !stuck) {
     return util::ParseError("bad FaultInstance numbers: " + text);
+  }
+  // Stored experiment data is outside input: bit indexes a 32-bit word.
+  if (*chain_bit < 0 || *chain_bit > UINT32_MAX || *address < 0 ||
+      *address > UINT32_MAX || *bit < 0 || *bit > 31 || *inject < 0) {
+    return util::ParseError("FaultInstance field out of range: " + text);
   }
   out.chain_bit = static_cast<uint32_t>(*chain_bit);
   out.cell_name = fields[3];

@@ -118,6 +118,10 @@ struct FaultInstance {
   bool IsScanFault() const { return !chain.empty(); }
   std::string Describe() const;
 
+  /// Memory-space faults: `word` with the fault applied to bit `bit` (a
+  /// stuck-at sets or clears it, every other model flips it).
+  uint32_t ApplyToWord(uint32_t word) const;
+
   /// Machine-readable round-trip form, stored in the experimentData column
   /// so an experiment can be re-run exactly (parentExperiment re-runs, §2.3).
   std::string Serialize() const;

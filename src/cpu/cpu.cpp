@@ -481,12 +481,6 @@ RunFastResult Cpu::RunFastEx(const RunFastRequest& request) {
   return result;
 }
 
-StepOutcome Cpu::RunFast(uint64_t max_cycles) {
-  RunFastRequest request;
-  request.max_cycles = max_cycles;
-  return RunFastEx(request).outcome;
-}
-
 void Cpu::ExecuteInstruction() {
   const isa::Predecoded pre = isa::Predecode(ir_);
   if (pre.fault != isa::PredecodeFault::kNone) {

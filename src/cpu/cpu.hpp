@@ -165,10 +165,6 @@ class Cpu {
   /// after a step matching a watch condition.
   RunFastResult RunFastEx(const RunFastRequest& request);
 
-  /// Drop-in fast equivalent of Run(max_cycles) — same overshoot semantics
-  /// (the budget is only checked after a full step completes).
-  StepOutcome RunFast(uint64_t max_cycles);
-
   /// Predecoded-instruction cache (fast path). Exposed so mutation sites
   /// outside the core (scan-chain writes) can invalidate, and so tools can
   /// report hit/miss/flush counters next to the icache/dcache stats.

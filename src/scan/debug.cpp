@@ -122,21 +122,13 @@ int DebugUnit::EvaluateTriggers(uint32_t exec_pc, bool is_mem, bool is_branch,
 
 DebugRunResult DebugUnit::RunUntilEvent(uint64_t max_cycles) {
   DebugRunResult result;
-  for (;;) {
+  if (cpu_->halted()) {
+    // A terminated CPU executes nothing, yet the triggers are still
+    // evaluated against its (stale) pc and instruction word, exactly as one
+    // StepAndCheck reports them.
     result.fired_trigger = StepAndCheck(&result.outcome);
-    if (result.fired_trigger >= 0) return result;
-    if (result.outcome != cpu::StepOutcome::kOk) return result;
-    if (max_cycles != 0 && cpu_->cycles() >= max_cycles) {
-      result.timed_out = true;
-      return result;
-    }
+    return result;
   }
-}
-
-DebugRunResult DebugUnit::RunUntilEventFast(uint64_t max_cycles) {
-  // An already-terminated CPU still gets a (stale) trigger evaluation from
-  // the reference loop; keep that quirk by delegating.
-  if (cpu_->halted()) return RunUntilEvent(max_cycles);
 
   // Compile the trigger list into watch conditions. Count triggers become
   // absolute budgets (a count of 0 is already-true level semantics: any
@@ -152,8 +144,8 @@ DebugRunResult DebugUnit::RunUntilEventFast(uint64_t max_cycles) {
       case TriggerKind::kPcBreakpoint:
         if (have_pc && request.watch_pc != trigger.address) {
           // Two distinct breakpoint addresses: one hardware comparator
-          // cannot watch both, run the reference loop.
-          return RunUntilEvent(max_cycles);
+          // cannot watch both, so stop after every instruction.
+          request.max_steps = 1;
         }
         have_pc = true;
         request.watch_pc = trigger.address;
@@ -186,12 +178,11 @@ DebugRunResult DebugUnit::RunUntilEventFast(uint64_t max_cycles) {
     }
   }
 
-  DebugRunResult result;
   for (;;) {
     const cpu::RunFastResult fast = cpu_->RunFastEx(request);
     result.outcome = fast.outcome;
-    // Same order as the reference loop: triggers first (evaluated even on a
-    // halting/detecting step), then outcome, then timeout.
+    // Same order as a StepAndCheck loop: triggers first (evaluated even on
+    // a halting/detecting step), then outcome, then timeout.
     result.fired_trigger = EvaluateTriggers(fast.exec_pc, fast.exec_mem,
                                             fast.exec_branch, fast.exec_call);
     if (result.fired_trigger >= 0) return result;

@@ -67,15 +67,14 @@ class DebugUnit {
 
   /// Runs until any trigger fires, the workload halts, an EDM fires, or
   /// `max_cycles` elapse (0 = unbounded — only sensible with triggers).
+  ///
+  /// Runs the CPU through the superblock primitive (Cpu::RunFastEx) with the
+  /// trigger list compiled into its watch conditions, and re-evaluates the
+  /// triggers with the exact StepAndCheck logic at every superblock exit, so
+  /// the fired index, hit counts and CPU state equal those of a StepAndCheck
+  /// loop. A trigger list the watch compiler cannot express — more than one
+  /// distinct pc-breakpoint address — runs as 1-instruction superblocks.
   DebugRunResult RunUntilEvent(uint64_t max_cycles);
-
-  /// Fast-path equivalent of RunUntilEvent: compiles the trigger list into
-  /// Cpu::RunFastEx watch conditions, then re-evaluates the triggers with
-  /// the exact StepAndCheck logic at every superblock exit. Produces
-  /// bit-identical results (fired index, hit counts, CPU state); trigger
-  /// shapes the watch compiler cannot express — more than one distinct
-  /// pc-breakpoint address — fall back to the reference loop.
-  DebugRunResult RunUntilEventFast(uint64_t max_cycles);
 
   /// Resets per-run occurrence counters. Call when the target is reset.
   void ResetCounters();
@@ -101,8 +100,8 @@ class DebugUnit {
 
  private:
   /// Evaluates all triggers against one executed instruction (address plus
-  /// classification); shared verbatim between StepAndCheck and the fast
-  /// path so occurrence counting cannot diverge. Returns the first fired
+  /// classification); shared verbatim between StepAndCheck and
+  /// RunUntilEvent so occurrence counting cannot diverge. Returns the first fired
   /// trigger index, or -1.
   int EvaluateTriggers(uint32_t exec_pc, bool is_mem, bool is_branch,
                        bool is_call);

@@ -87,8 +87,7 @@ int SimTestCard::AddTrigger(const scan::Trigger& trigger) {
 void SimTestCard::ClearTriggers() { debug_.ClearTriggers(); }
 
 scan::DebugRunResult SimTestCard::Run(uint64_t max_cycles) {
-  return use_fast_run_ ? debug_.RunUntilEventFast(max_cycles)
-                       : debug_.RunUntilEvent(max_cycles);
+  return debug_.RunUntilEvent(max_cycles);
 }
 
 cpu::StepOutcome SimTestCard::SingleStep() { return cpu_->Step(); }

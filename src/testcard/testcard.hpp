@@ -70,8 +70,10 @@ class TestCard {
   virtual scan::DebugRunResult Run(uint64_t max_cycles) = 0;
 
   /// Whether Run() drives the target through the predecoded superblock fast
-  /// path. Real hardware runs at its own speed, so the base card reports
-  /// false.
+  /// path. Nothing in the library reads it: SimTestCard, whose Run() has one
+  /// loop, reports a constant true and real hardware reports false. It stays
+  /// only because the campaign benchmark's forwarding card overrides it
+  /// (perfbench/tracing.hpp); drop it when that file is next edited.
   virtual bool use_fast_run() const { return false; }
 
   /// Executes exactly one instruction (detail mode logging).
@@ -195,11 +197,7 @@ class SimTestCard final : public TestCard, private scan::TapController::DrHandle
 
   uint32_t workload_entry() const { return entry_; }
 
-  /// Fast path on/off switch (on by default). The reference interpreter is
-  /// kept selectable so differential suites can prove byte-identical
-  /// campaign databases against it.
-  bool use_fast_run() const override { return use_fast_run_; }
-  void set_use_fast_run(bool enabled) { use_fast_run_ = enabled; }
+  bool use_fast_run() const override { return true; }
 
  private:
   // TapController::DrHandler:
@@ -230,7 +228,6 @@ class SimTestCard final : public TestCard, private scan::TapController::DrHandle
   uint32_t chain_select_ = 0;
   uint32_t entry_ = 0;
   double extra_us_ = 0.0;  ///< op overheads accumulated
-  bool use_fast_run_ = true;
 
   // Scratch buffers recycled across scan reads and writes.
   util::BitVec select_scratch_;

@@ -254,6 +254,28 @@ TEST_F(AlgorithmsTest, RerunDetailedReproducesOutcome) {
   }
 }
 
+TEST_F(AlgorithmsTest, RerunRejectsFaultBitOutsideItsChain) {
+  // experimentData is read back from the database, which archives and SQL
+  // edits can change: a fault bit past the end of its chain is refused
+  // before the image is touched.
+  CampaignData campaign = BaseCampaign("bad");
+  campaign.num_experiments = 1;
+  ASSERT_TRUE(store_.PutCampaign(campaign).ok());
+  ASSERT_TRUE(target_.FaultInjectorScifi("bad").ok());
+  FaultInstance fault;
+  fault.chain = "internal_regfile";
+  fault.chain_bit = 5000;
+  fault.cell_name = "regfile.r1";
+  fault.inject_instr = 10;
+  ASSERT_TRUE(store_
+                  .PutExperiment("bad/tampered", "", "bad",
+                                 "faults=" + fault.Serialize(), LoggedState())
+                  .ok());
+  const util::Status status = target_.RerunDetailed("bad/tampered");
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(), "fault bit 5000 outside chain internal_regfile");
+}
+
 // --- fault models ---------------------------------------------------------------
 
 TEST_F(AlgorithmsTest, IntermittentModelRunsToCompletion) {
@@ -305,6 +327,98 @@ TEST_F(AlgorithmsTest, ControlWorkloadCampaignServicesEnvironment) {
   EXPECT_FALSE(reference.state.halted) << "infinite-loop workload never halts";
   ASSERT_EQ(reference.state.outputs.size(), 1u) << "actuator-trace checksum";
   EXPECT_NE(reference.state.outputs[0], 0u);
+}
+
+// --- noisy test-card link -----------------------------------------------------
+
+/// Forwards every call to a SimTestCard and counts scan writes whose image
+/// does not fit the chain (the card refuses those).
+class WriteCheckingCard final : public testcard::TestCard {
+ public:
+  explicit WriteCheckingCard(const testcard::LinkConfig& link)
+      : inner_(cpu::CpuConfig(), link) {}
+
+  int misfit_writes() const { return misfit_writes_; }
+
+  util::Status Init() override { return inner_.Init(); }
+  util::Status LoadWorkload(const isa::AssembledProgram& program) override {
+    return inner_.LoadWorkload(program);
+  }
+  util::Status ResetTarget() override { return inner_.ResetTarget(); }
+  util::Status WriteMemory(uint32_t address,
+                           const std::vector<uint32_t>& words) override {
+    return inner_.WriteMemory(address, words);
+  }
+  util::Result<std::vector<uint32_t>> ReadMemory(uint32_t address,
+                                                 uint32_t num_words) override {
+    return inner_.ReadMemory(address, num_words);
+  }
+  int AddTrigger(const scan::Trigger& trigger) override {
+    return inner_.AddTrigger(trigger);
+  }
+  void ClearTriggers() override { inner_.ClearTriggers(); }
+  scan::DebugRunResult Run(uint64_t max_cycles) override {
+    return inner_.Run(max_cycles);
+  }
+  cpu::StepOutcome SingleStep() override { return inner_.SingleStep(); }
+  util::Result<util::BitVec> ReadScanChain(const std::string& chain,
+                                           bool restore) override {
+    return inner_.ReadScanChain(chain, restore);
+  }
+  util::Status WriteScanChain(const std::string& chain,
+                              const util::BitVec& image) override {
+    const scan::ScanChain* target = inner_.chains().Find(chain);
+    if (target != nullptr && image.size() != target->length_bits()) {
+      ++misfit_writes_;
+    }
+    return inner_.WriteScanChain(chain, image);
+  }
+  util::Status MarkMemoryBaseline() override {
+    return inner_.MarkMemoryBaseline();
+  }
+  const scan::ScanChainSet& chains() const override { return inner_.chains(); }
+  const cpu::Cpu& cpu() const override { return inner_.cpu(); }
+  cpu::Cpu& mutable_cpu() override { return inner_.mutable_cpu(); }
+  double link_time_us() const override { return inner_.link_time_us(); }
+
+ private:
+  testcard::SimTestCard inner_;
+  int misfit_writes_ = 0;
+};
+
+TEST(NoisyLinkTest, RedirectedInjectionReadFailsBeforeTouchingTheImage) {
+  // At a 2% bit error rate the SCAN_N select scan of an injection read can
+  // be redirected to another chain, which returns that chain's image (this
+  // seed does so in the 4th experiment). Injecting into it must fail with
+  // the status the card's write check gives, before any bit of the
+  // misfitting image is flipped and without attempting the write.
+  testcard::LinkConfig link;
+  link.bit_error_rate = 0.02;
+  link.noise_seed = 8;
+  WriteCheckingCard card(link);
+  db::Database db;
+  CampaignStore store(&db);
+  ASSERT_TRUE(store
+                  .PutTargetSystem(ThorRdTarget::DescribeTarget(
+                      card, ThorRdTarget::kTargetName))
+                  .ok());
+  CampaignData campaign;
+  campaign.name = "noisy";
+  campaign.target_name = ThorRdTarget::kTargetName;
+  campaign.technique = Technique::kScifi;
+  campaign.num_experiments = 10;
+  campaign.workload = "bubblesort";
+  campaign.locations = {{"internal_regfile", ""}};
+  campaign.inject_min_instr = 1;
+  campaign.inject_max_instr = 1000;
+  campaign.timeout_cycles = 100000;
+  ASSERT_TRUE(store.PutCampaign(campaign).ok());
+  ThorRdTarget target(&store, &card);
+  const util::Status status = target.RunCampaign("noisy");
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(), "image size mismatch for chain internal_regfile");
+  EXPECT_EQ(target.stats().experiments_run, 3);
+  EXPECT_EQ(card.misfit_writes(), 0);
 }
 
 }  // namespace

@@ -383,7 +383,6 @@ class ResetCountingCard final : public testcard::TestCard {
   scan::DebugRunResult Run(uint64_t max_cycles) override {
     return inner_.Run(max_cycles);
   }
-  bool use_fast_run() const override { return inner_.use_fast_run(); }
   cpu::StepOutcome SingleStep() override { return inner_.SingleStep(); }
   util::Result<util::BitVec> ReadScanChain(const std::string& chain,
                                            bool restore) override {
@@ -446,7 +445,6 @@ struct GoldenProducts {
 
 struct GoldenConfig {
   CampaignData campaign;
-  bool fast = true;
   bool noisy = false;  ///< Thor only: the link flips shifted bits
 };
 
@@ -485,7 +483,6 @@ GoldenProducts BuildThorGolden(const GoldenConfig& config, bool want_cache,
   testcard::LinkConfig link;
   if (config.noisy) link.bit_error_rate = 1e-3;
   ResetCountingCard card(link);
-  card.inner().set_use_fast_run(config.fast);
   ProbeTarget<ThorRdTarget> target(nullptr, &card);
   GoldenProducts products;
   CollectGolden(
@@ -501,7 +498,6 @@ GoldenProducts BuildThorGolden(const GoldenConfig& config, bool want_cache,
 GoldenProducts BuildSwifiGolden(const GoldenConfig& config, bool want_cache,
                                 bool want_trace) {
   ProbeTarget<SwifiSimTarget> target(nullptr);
-  target.set_use_fast_run(config.fast);
   GoldenProducts products;
   CollectGolden(
       target, config, want_cache, want_trace,
@@ -545,28 +541,23 @@ void ExpectSameGoldenProducts(const GoldenProducts& combined,
 TEST(CheckpointTest, ThorCombinedGoldenRunMatchesSeparateBuilds) {
   for (bool plant : {false, true}) {
     for (LogMode mode : {LogMode::kNormal, LogMode::kDetail}) {
-      for (bool fast : {true, false}) {
-        for (bool noisy : {false, true}) {
-          GoldenConfig config;
-          config.campaign = plant ? ThorControlCampaign("gp_thor")
-                                  : ThorScifiCampaign("gp_thor");
-          config.campaign.log_mode = mode;
-          config.fast = fast;
-          config.noisy = noisy;
-          SCOPED_TRACE(util::Format("plant=%d detail=%d fast=%d noisy=%d",
-                                    plant, mode == LogMode::kDetail, fast,
-                                    noisy));
-          const GoldenProducts combined = BuildThorGolden(config, true, true);
-          ExpectSameGoldenProducts(combined,
-                                   BuildThorGolden(config, true, false),
-                                   BuildThorGolden(config, false, true));
-          if (mode == LogMode::kDetail) {
-            EXPECT_FALSE(combined.trace.detail_rows().empty());
-            // The trace comes from the detail loop; the cache from RunLoop.
-            EXPECT_EQ(combined.resets, 2);
-          } else {
-            EXPECT_EQ(combined.resets, 1) << "one golden pass, one reset";
-          }
+      for (bool noisy : {false, true}) {
+        GoldenConfig config;
+        config.campaign = plant ? ThorControlCampaign("gp_thor")
+                                : ThorScifiCampaign("gp_thor");
+        config.campaign.log_mode = mode;
+        config.noisy = noisy;
+        SCOPED_TRACE(util::Format("plant=%d detail=%d noisy=%d", plant,
+                                  mode == LogMode::kDetail, noisy));
+        const GoldenProducts combined = BuildThorGolden(config, true, true);
+        ExpectSameGoldenProducts(combined, BuildThorGolden(config, true, false),
+                                 BuildThorGolden(config, false, true));
+        if (mode == LogMode::kDetail) {
+          EXPECT_FALSE(combined.trace.detail_rows().empty());
+          // The trace comes from the detail loop; the cache from RunLoop.
+          EXPECT_EQ(combined.resets, 2);
+        } else {
+          EXPECT_EQ(combined.resets, 1) << "one golden pass, one reset";
         }
       }
     }
@@ -575,16 +566,13 @@ TEST(CheckpointTest, ThorCombinedGoldenRunMatchesSeparateBuilds) {
 
 TEST(CheckpointTest, SwifiCombinedGoldenRunMatchesSeparateBuilds) {
   for (bool plant : {false, true}) {
-    for (bool fast : {true, false}) {
-      GoldenConfig config;
-      config.campaign = plant ? SwifiControlCampaign("gp_swifi")
-                              : SwifiRuntimeCampaign("gp_swifi");
-      config.fast = fast;
-      SCOPED_TRACE(util::Format("plant=%d fast=%d", plant, fast));
-      ExpectSameGoldenProducts(BuildSwifiGolden(config, true, true),
-                               BuildSwifiGolden(config, true, false),
-                               BuildSwifiGolden(config, false, true));
-    }
+    GoldenConfig config;
+    config.campaign = plant ? SwifiControlCampaign("gp_swifi")
+                            : SwifiRuntimeCampaign("gp_swifi");
+    SCOPED_TRACE(util::Format("plant=%d", plant));
+    ExpectSameGoldenProducts(BuildSwifiGolden(config, true, true),
+                             BuildSwifiGolden(config, true, false),
+                             BuildSwifiGolden(config, false, true));
   }
 }
 

@@ -151,11 +151,9 @@ RunResult RunCold(const CampaignData& campaign) {
 }
 
 /// Serial run with pruning enabled. `force` additionally engages warm-start
-/// fast-forward (the run-pruned shell command always forces it); `swifi_fast`
-/// lets the superblock fast path be switched off to test the slow-path
-/// boundary stops.
+/// fast-forward (the run-pruned shell command always forces it).
 RunResult RunPrunedSerial(const CampaignData& campaign, uint64_t interval,
-                          bool force = true, bool swifi_fast = true) {
+                          bool force = true) {
   Session session(campaign);
   auto drive = [&](FaultInjectionAlgorithms& target) {
     target.SetCheckpointInterval(interval);
@@ -171,7 +169,6 @@ RunResult RunPrunedSerial(const CampaignData& campaign, uint64_t interval,
     return drive(target);
   }
   SwifiSimTarget target(&session.store);
-  target.set_use_fast_run(swifi_fast);
   return drive(target);
 }
 
@@ -440,14 +437,6 @@ TEST(ConvergenceTest, RuntimeSwifiPrunedMatchesColdAtEveryInterval) {
     }
     ExpectIdentical(cold, pruned);
   }
-}
-
-TEST(ConvergenceTest, RuntimeSwifiSlowPathPrunedMatchesCold) {
-  // Fast path off: boundary stops run through the reference Step() loop.
-  const CampaignData campaign = SwifiRuntimeCampaign("cv_swifi_slow");
-  ExpectIdentical(RunCold(campaign),
-                  RunPrunedSerial(campaign, 64, /*force=*/true,
-                                  /*swifi_fast=*/false));
 }
 
 TEST(ConvergenceTest, PreRuntimeSwifiPrunedMatchesCold) {

@@ -87,6 +87,12 @@ TEST(FaultInstanceTest, ParseRejectsMalformed) {
   EXPECT_FALSE(FaultInstance::Parse("a,b,c").ok());
   EXPECT_FALSE(FaultInstance::Parse("bogus_kind,,0,,0,0,0,0").ok());
   EXPECT_FALSE(FaultInstance::Parse("transient_bitflip,,x,,0,0,0,0").ok());
+  // Out of range: a memory bit past 31, negative fields, a 33-bit address.
+  EXPECT_FALSE(FaultInstance::Parse("transient_bitflip,,0,,0,32,0,0").ok());
+  EXPECT_FALSE(FaultInstance::Parse("transient_bitflip,c,-1,,0,0,0,0").ok());
+  EXPECT_FALSE(FaultInstance::Parse("transient_bitflip,,0,,-4,0,0,0").ok());
+  EXPECT_FALSE(
+      FaultInstance::Parse("transient_bitflip,,0,,4294967296,0,0,0").ok());
 }
 
 TEST(FaultInstanceTest, DescribeMentionsLocationAndTime) {

@@ -4,14 +4,11 @@
 // an equivalent reference Step() loop — every register, latch, counter,
 // cache line, memory word and EDM event — for arbitrary programs, arbitrary
 // fault injections into code and data, and every stop-condition mix. At the
-// campaign level, a database produced with the fast path on must be
-// byte-for-byte the file produced with it off, across all three injection
-// techniques.
+// campaign level, each injection technique's result rows must equal the
+// pinned digest of the rows the step-by-step run loops logged.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <memory>
 #include <vector>
 
 #include "core/goofi.hpp"
@@ -484,7 +481,8 @@ TEST(CpuRunBudgetTest, BudgetCheckedOnlyAfterFullStep) {
   EXPECT_EQ(cpu2.Run(one_mul + 1), StepOutcome::kOk);
   EXPECT_GT(cpu2.cycles(), one_mul + 1);
 
-  // RunFast has identical overshoot behaviour and identical state.
+  // A RunFastEx cycle budget has identical overshoot behaviour and
+  // identical state.
   for (uint64_t budget : {uint64_t{1}, one_mul, one_mul + 1, uint64_t{200}}) {
     Cpu a;
     Cpu b;
@@ -492,7 +490,9 @@ TEST(CpuRunBudgetTest, BudgetCheckedOnlyAfterFullStep) {
     ASSERT_TRUE(b.LoadProgram(program.base_address, program.words).ok());
     a.Reset(program.entry);
     b.Reset(program.entry);
-    EXPECT_EQ(a.Run(budget), b.RunFast(budget)) << budget;
+    EXPECT_EQ(a.Run(budget), b.RunFastEx(RunFastRequest{.max_cycles = budget})
+                                 .outcome)
+        << budget;
     EXPECT_EQ(a.cycles(), b.cycles()) << budget;
     EXPECT_EQ(a.instructions_retired(), b.instructions_retired()) << budget;
     EXPECT_EQ(a.pc(), b.pc()) << budget;
@@ -507,17 +507,7 @@ TEST(CpuRunBudgetTest, BudgetCheckedOnlyAfterFullStep) {
 namespace goofi::core {
 namespace {
 
-std::string DbBytes(db::Database& db, const std::string& tag) {
-  const std::string path = testing::TempDir() + "goofi_fastpath_" + tag + ".db";
-  EXPECT_TRUE(db.Save(path).ok());
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  std::remove(path.c_str());
-  return buf.str();
-}
-
-CampaignData FastSlowCampaign(Technique technique) {
+CampaignData DigestCampaign(Technique technique) {
   CampaignData campaign;
   campaign.name = "fastslow";
   campaign.fault_model = FaultModelKind::kTransientBitFlip;
@@ -548,48 +538,84 @@ CampaignData FastSlowCampaign(Technique technique) {
   return campaign;
 }
 
-/// Runs `campaign` with the superblock path on or off; returns the saved
-/// database file bytes.
-std::string RunCampaignDb(const CampaignData& campaign, bool fast) {
+/// FNV-1a over a campaign's result rows in insertion order: name, parent,
+/// experiment data and serialized state of each, every field terminated.
+uint64_t RowsDigest(const CampaignStore& store, const std::string& campaign,
+                    size_t* rows_out) {
+  const auto rows = store.ExperimentsOf(campaign);
+  EXPECT_TRUE(rows.ok());
+  if (!rows.ok()) return 0;
+  *rows_out = rows.value().size();
+  uint64_t hash = 14695981039346656037ull;
+  auto mix = [&hash](const std::string& text) {
+    for (unsigned char c : text) {
+      hash ^= c;
+      hash *= 1099511628211ull;
+    }
+    hash ^= 0xffu;
+    hash *= 1099511628211ull;
+  };
+  for (const CampaignStore::ExperimentRow& row : rows.value()) {
+    mix(row.experiment_name);
+    mix(row.parent_experiment);
+    mix(row.experiment_data);
+    mix(row.state.Serialize());
+  }
+  return hash;
+}
+
+/// Row count and RowsDigest of each technique's campaign, recorded from the
+/// reference run loops, which stepped the CPU one StepAndCheck (Thor) or one
+/// Step() (SWIFI) at a time.
+struct PinnedDigest {
+  size_t rows;
+  uint64_t digest;
+};
+
+PinnedDigest StepLoopDigest(Technique technique) {
+  switch (technique) {
+    case Technique::kScifi:
+      return {9, 0x859bf722be46603eull};
+    case Technique::kSwifiPreRuntime:
+      return {9, 0x0653d6b89ee5e1bbull};
+    case Technique::kSwifiRuntime:
+      return {9, 0x174b5246c961773dull};
+  }
+  return {0, 0};
+}
+
+class StepLoopDigestTest : public ::testing::TestWithParam<Technique> {};
+
+// Each target's single superblock run loop must log the rows the step loops
+// logged.
+TEST_P(StepLoopDigestTest, ResultRowsMatchPinnedDigest) {
+  const CampaignData campaign = DigestCampaign(GetParam());
   db::Database db;
   CampaignStore store(&db);
-  std::string bytes;
+  testcard::SimTestCard card;
+  std::unique_ptr<FaultInjectionAlgorithms> target;
   if (campaign.target_name == ThorRdTarget::kTargetName) {
-    testcard::SimTestCard card;
-    card.set_use_fast_run(fast);
-    EXPECT_TRUE(store
+    ASSERT_TRUE(store
                     .PutTargetSystem(ThorRdTarget::DescribeTarget(
                         card, ThorRdTarget::kTargetName))
                     .ok());
-    EXPECT_TRUE(store.PutCampaign(campaign).ok());
-    ThorRdTarget target(&store, &card);
-    EXPECT_TRUE(target.RunCampaign(campaign.name).ok());
-    bytes = DbBytes(db, campaign.name + "_" + campaign.workload +
-                            (fast ? "_fast" : "_slow"));
+    target = std::make_unique<ThorRdTarget>(&store, &card);
   } else {
-    EXPECT_TRUE(store.PutTargetSystem(SwifiSimTarget::Describe()).ok());
-    EXPECT_TRUE(store.PutCampaign(campaign).ok());
-    SwifiSimTarget target(&store);
-    target.set_use_fast_run(fast);
-    EXPECT_TRUE(target.RunCampaign(campaign.name).ok());
-    bytes = DbBytes(db, campaign.name + "_" + campaign.workload +
-                            (fast ? "_fast" : "_slow"));
+    ASSERT_TRUE(store.PutTargetSystem(SwifiSimTarget::Describe()).ok());
+    target = std::make_unique<SwifiSimTarget>(&store);
   }
-  return bytes;
+  ASSERT_TRUE(store.PutCampaign(campaign).ok());
+  ASSERT_TRUE(target->RunCampaign(campaign.name).ok());
+  size_t rows = 0;
+  const uint64_t digest = RowsDigest(store, campaign.name, &rows);
+  const PinnedDigest pinned = StepLoopDigest(GetParam());
+  EXPECT_EQ(rows, pinned.rows);
+  EXPECT_EQ(digest, pinned.digest)
+      << "result rows diverged from the step-loop reference for technique "
+      << TechniqueName(GetParam());
 }
 
-class FastSlowDbTest : public ::testing::TestWithParam<Technique> {};
-
-TEST_P(FastSlowDbTest, DatabaseBytesIdentical) {
-  const CampaignData campaign = FastSlowCampaign(GetParam());
-  const std::string fast = RunCampaignDb(campaign, /*fast=*/true);
-  const std::string slow = RunCampaignDb(campaign, /*fast=*/false);
-  ASSERT_FALSE(fast.empty());
-  EXPECT_EQ(fast, slow) << "fast-path campaign DB diverged for technique "
-                        << TechniqueName(GetParam());
-}
-
-INSTANTIATE_TEST_SUITE_P(AllTechniques, FastSlowDbTest,
+INSTANTIATE_TEST_SUITE_P(AllTechniques, StepLoopDigestTest,
                          ::testing::Values(Technique::kScifi,
                                            Technique::kSwifiPreRuntime,
                                            Technique::kSwifiRuntime),

@@ -1,7 +1,11 @@
 // Tests for the IEEE 1149.1 TAP controller, scan chains and the debug unit.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "cpu/cpu.hpp"
+#include "env/workloads.hpp"
 #include "isa/assembler.hpp"
 #include "scan/chain.hpp"
 #include "scan/debug.hpp"
@@ -542,6 +546,162 @@ TEST_F(DebugTest, ResetCountersClearsOccurrences) {
   debug.ResetCounters();
   (void)debug.RunUntilEvent(0);
   EXPECT_EQ(cpu_.instructions_retired(), first) << "same occurrence semantics";
+}
+
+// --- RunUntilEvent vs the StepAndCheck oracle -------------------------------
+
+/// The trigger semantics RunUntilEvent must reproduce: one StepAndCheck per
+/// instruction, then fired trigger, outcome and cycle budget, in that order.
+DebugRunResult StepLoop(DebugUnit& debug, const cpu::Cpu& cpu,
+                        uint64_t max_cycles) {
+  DebugRunResult result;
+  for (;;) {
+    result.fired_trigger = debug.StepAndCheck(&result.outcome);
+    if (result.fired_trigger >= 0) return result;
+    if (result.outcome != cpu::StepOutcome::kOk) return result;
+    if (max_cycles != 0 && cpu.cycles() >= max_cycles) {
+      result.timed_out = true;
+      return result;
+    }
+  }
+}
+
+/// A random trigger over one of the 7 kinds, aimed at addresses and values
+/// the workload actually executes and moves.
+Trigger RandomTrigger(util::Rng& rng, const isa::AssembledProgram& program,
+                      uint32_t text_words, uint64_t horizon) {
+  const auto word_address = [&](uint32_t words) {
+    return program.base_address +
+           4 * static_cast<uint32_t>(rng.NextBelow(words));
+  };
+  const auto count = [&] {
+    // Count 0 (already reached, level semantics) and counts past the
+    // current counter both occur.
+    return rng.NextBelow(8) == 0 ? 0 : rng.NextBelow(horizon) + 1;
+  };
+  Trigger trigger;
+  trigger.kind = static_cast<TriggerKind>(rng.NextBelow(7));
+  switch (trigger.kind) {
+    case TriggerKind::kPcBreakpoint:
+      trigger.address = word_address(text_words);
+      trigger.occurrence = rng.NextBelow(4) + 1;
+      break;
+    case TriggerKind::kInstrCount:
+    case TriggerKind::kCycleCount:
+      trigger.count = count();
+      break;
+    case TriggerKind::kDataAccess:
+      trigger.address =
+          word_address(static_cast<uint32_t>(program.words.size()));
+      break;
+    case TriggerKind::kDataValue:
+      trigger.value =
+          rng.NextBelow(2) == 0
+              ? static_cast<uint32_t>(rng.NextBelow(4))
+              : program.words[rng.NextBelow(program.words.size())];
+      break;
+    case TriggerKind::kBranch:
+    case TriggerKind::kCall:
+      break;
+  }
+  return trigger;
+}
+
+TEST(RunUntilEventTest, MatchesStepAndCheckLoop) {
+  util::Rng rng(0xD1FFu);
+  int run_calls = 0;
+  int two_pc_sets = 0;
+  int halted_calls = 0;
+  for (const std::string& name : env::WorkloadNames()) {
+    SCOPED_TRACE(name);
+    const env::WorkloadSpec spec = env::GetWorkload(name).ValueOrDie();
+    const isa::AssembledProgram program =
+        isa::Assemble(spec.source).ValueOrDie();
+    uint32_t text_bytes = 0;
+    const auto etext = program.symbols.find("_etext");
+    if (etext != program.symbols.end() &&
+        etext->second > program.base_address) {
+      text_bytes = etext->second - program.base_address;
+    }
+    const uint32_t text_words =
+        text_bytes != 0 ? text_bytes / 4
+                        : static_cast<uint32_t>(program.words.size());
+    for (int set = 0; set < 40; ++set) {
+      SCOPED_TRACE(set);
+      cpu::CpuConfig config;
+      // Half the sets run with a watchdog, so detections end some runs.
+      if (set % 2 == 1) config.watchdog_limit = 500 + rng.NextBelow(4000);
+      cpu::Cpu fast_cpu(config);
+      cpu::Cpu ref_cpu(config);
+      for (cpu::Cpu* cpu : {&fast_cpu, &ref_cpu}) {
+        ASSERT_TRUE(
+            cpu->LoadProgram(program.base_address, program.words, text_bytes)
+                .ok());
+        cpu->Reset(program.entry);
+      }
+      DebugUnit fast(&fast_cpu);
+      DebugUnit ref(&ref_cpu);
+      std::vector<Trigger> triggers;
+      const int num_triggers = 1 + static_cast<int>(rng.NextBelow(4));
+      for (int i = 0; i < num_triggers; ++i) {
+        triggers.push_back(RandomTrigger(rng, program, text_words, 3000));
+      }
+      if (set % 4 == 0) {
+        // Two distinct pc breakpoints: the 1-instruction-superblock shape.
+        for (int i = 0; i < 2; ++i) {
+          Trigger pc;
+          pc.kind = TriggerKind::kPcBreakpoint;
+          pc.address = program.base_address + 4 * i +
+                       4 * static_cast<uint32_t>(rng.NextBelow(text_words - 1));
+          pc.occurrence = rng.NextBelow(3) + 1;
+          triggers.insert(triggers.begin() + rng.NextBelow(triggers.size() + 1),
+                          pc);
+        }
+      }
+      std::set<uint32_t> pcs;
+      for (const Trigger& trigger : triggers) {
+        fast.AddTrigger(trigger);
+        ref.AddTrigger(trigger);
+        if (trigger.kind == TriggerKind::kPcBreakpoint) {
+          pcs.insert(trigger.address);
+        }
+      }
+      if (pcs.size() > 1) ++two_pc_sets;
+
+      // Keep calling until the run ends, then once more on the halted CPU.
+      bool ended = false;
+      for (int call = 0; call < 60; ++call) {
+        SCOPED_TRACE(call);
+        // Absolute cycle budgets, sometimes none (batch workloads halt;
+        // control loops never do, so they always get one).
+        const uint64_t budget =
+            !spec.infinite_loop && rng.NextBelow(4) == 0
+                ? 0
+                : fast_cpu.cycles() + 1 + rng.NextBelow(3000);
+        const DebugRunResult got = fast.RunUntilEvent(budget);
+        const DebugRunResult want = StepLoop(ref, ref_cpu, budget);
+        ++run_calls;
+        if (ended) ++halted_calls;
+        ASSERT_EQ(got.fired_trigger, want.fired_trigger);
+        ASSERT_EQ(got.outcome, want.outcome);
+        ASSERT_EQ(got.timed_out, want.timed_out);
+        ASSERT_EQ(fast_cpu.pc(), ref_cpu.pc());
+        ASSERT_EQ(fast_cpu.ir(), ref_cpu.ir());
+        ASSERT_EQ(fast_cpu.cycles(), ref_cpu.cycles());
+        ASSERT_EQ(fast_cpu.instructions_retired(),
+                  ref_cpu.instructions_retired());
+        for (int r = 0; r < isa::kNumRegisters; ++r) {
+          ASSERT_EQ(fast_cpu.reg(r), ref_cpu.reg(r)) << "r" << r;
+        }
+        ASSERT_EQ(fast.SaveSnapshot().hit_counts, ref.SaveSnapshot().hit_counts);
+        if (ended) break;
+        ended = got.outcome != cpu::StepOutcome::kOk;
+      }
+    }
+  }
+  EXPECT_GT(two_pc_sets, 0);
+  EXPECT_GT(halted_calls, 0);
+  EXPECT_GT(run_calls, 1000);
 }
 
 TEST(TriggerTest, DescribeIsHumanReadable) {
