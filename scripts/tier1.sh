@@ -50,7 +50,7 @@ ASAN_DIR="${BUILD_DIR}-asan"
 # asserts run in this pass.
 cmake -B "$ASAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" -DGOOFI_SANITIZE=address
-cmake --build "$ASAN_DIR" -j "$JOBS" --target cpu_fastpath_test convergence_test sql_index_test equivalence_test archive_test memory_cow_test static_analysis_test scan_test testcard_test util_test checkpoint_test algorithms_test
+cmake --build "$ASAN_DIR" -j "$JOBS" --target cpu_fastpath_test convergence_test sql_index_test equivalence_test archive_test memory_cow_test static_analysis_test scan_test testcard_test util_test checkpoint_test algorithms_test core_types_test analysis_test propagation_test
 "$ASAN_DIR"/tests/cpu_fastpath_test
 
 echo "== tier-1: ASan pass (COW paged memory differential fuzzer) =="
@@ -81,10 +81,15 @@ echo "== tier-1: ASan pass (golden-run checkpoint suite + noisy-link SCIFI injec
 "$ASAN_DIR"/tests/algorithms_test \
   --gtest_filter='NoisyLinkTest.*:AlgorithmsTest.RerunRejectsFaultBitOutsideItsChain'
 
-echo "== tier-1: UBSan pass (superblock fast-path differential fuzzer + scan/BitVec word-op suites) =="
+echo "== tier-1: ASan pass (stateVector byte oracle + parse fuzz, in-place analysis, resume by key) =="
+"$ASAN_DIR"/tests/core_types_test
+"$ASAN_DIR"/tests/analysis_test
+"$ASAN_DIR"/tests/propagation_test
+
+echo "== tier-1: UBSan pass (superblock fast-path differential fuzzer + scan/BitVec word-op suites + stateVector oracle/fuzz) =="
 UBSAN_DIR="${BUILD_DIR}-ubsan"
 cmake -B "$UBSAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGOOFI_SANITIZE=undefined
-cmake --build "$UBSAN_DIR" -j "$JOBS" --target cpu_fastpath_test scan_test testcard_test util_test
+cmake --build "$UBSAN_DIR" -j "$JOBS" --target cpu_fastpath_test scan_test testcard_test util_test core_types_test
 # UBSan only prints a report and carries on by default; make a report fail
 # the stanza.
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
@@ -92,6 +97,7 @@ export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 "$UBSAN_DIR"/tests/scan_test
 "$UBSAN_DIR"/tests/testcard_test
 "$UBSAN_DIR"/tests/util_test
+"$UBSAN_DIR"/tests/core_types_test
 
 echo "== tier-1: checkpoint fast-forward benchmark (BENCH_checkpoint.json) =="
 cmake --build "$BUILD_DIR" -j "$JOBS" --target bench_checkpoint_fastforward

@@ -206,9 +206,14 @@ FaultInjectionAlgorithms::BuildRecords(const std::string& experiment_name,
   for (size_t i = 0; i < detail_log_.size(); ++i) {
     rows.push_back({util::Format("%s/d%06zu", experiment_name.c_str(), i),
                     experiment_name, campaign_.name, "detail_step",
-                    detail_log_[i]});
+                    std::move(detail_log_[i])});
   }
   detail_log_.clear();
+  // The stateVector text is built here, once per row, on the thread that
+  // ran the experiment; the store and the spot check use it as is.
+  for (CampaignStore::ExperimentRow& row : rows) {
+    row.state.AppendTo(&row.state_text);
+  }
   return rows;
 }
 
@@ -223,24 +228,22 @@ std::string FaultInjectionAlgorithms::ExperimentData(
          ";faults=" + util::Join(fault_texts, "|");
 }
 
-util::Status FaultInjectionAlgorithms::LogExperiment(
+util::Result<LoggedState> FaultInjectionAlgorithms::LogExperiment(
     const std::string& experiment_name, const std::string& parent) {
   auto rows = BuildRecords(experiment_name, parent);
   if (!rows.ok()) return rows.status();
   for (const CampaignStore::ExperimentRow& row : rows.value()) {
-    GOOFI_RETURN_IF_ERROR(store_->PutExperiment(row.experiment_name,
-                                                row.parent_experiment,
-                                                row.campaign_name,
-                                                row.experiment_data, row.state));
+    GOOFI_RETURN_IF_ERROR(store_->PutExperiment(row));
   }
-  return util::Status::Ok();
+  return std::move(rows.value().front().state);
 }
 
 util::Status FaultInjectionAlgorithms::MakeReferenceRun(ExperimentBody body) {
   faults_.clear();
   detail_log_.clear();
   GOOFI_RETURN_IF_ERROR((this->*body)());
-  return LogExperiment(CampaignStore::ReferenceName(campaign_.name), "");
+  return LogExperiment(CampaignStore::ReferenceName(campaign_.name), "")
+      .status();
 }
 
 util::Status FaultInjectionAlgorithms::PrepareCampaign(
@@ -346,28 +349,30 @@ util::Status FaultInjectionAlgorithms::DriveCampaign(
   // makeReferenceRun() — Fig. 2. A campaign that was paused or stopped can
   // be restarted (the progress window of Fig. 7 offers exactly that): rows
   // already in LoggedSystemState are kept and their experiments skipped.
-  if (!store_->GetExperiment(CampaignStore::ReferenceName(campaign_.name)).ok()) {
+  // Resume checks read the key only: a logged row counts as done even when
+  // its stateVector does not parse.
+  if (!store_->HasExperiment(CampaignStore::ReferenceName(campaign_.name))) {
     GOOFI_RETURN_IF_ERROR(MakeReferenceRun(body));
   }
 
   for (int i = 0; i < campaign_.num_experiments; ++i) {
-    if (store_->GetExperiment(ExperimentName(campaign_.name, i)).ok()) {
+    const std::string name = ExperimentName(campaign_.name, i);
+    if (store_->HasExperiment(name)) {
       ++stats_.experiments_resumed;
       continue;
     }
     GOOFI_RETURN_IF_ERROR(GenerateFaults(fault_space_, i));
     detail_log_.clear();
     GOOFI_RETURN_IF_ERROR(RunBody(body));
-    GOOFI_RETURN_IF_ERROR(LogExperiment(ExperimentName(campaign_.name, i), ""));
+    auto logged = LogExperiment(name, "");
+    if (!logged.ok()) return logged.status();
     ++stats_.experiments_run;
-    if (monitor_ != nullptr) {
-      auto last = store_->GetExperiment(ExperimentName(campaign_.name, i));
-      if (!monitor_->OnExperiment(i + 1, campaign_.num_experiments,
-                                  last.ok() ? last.value().state : LoggedState{})) {
-        util::Log::Info("campaign " + campaign_name + " ended by user after " +
-                        std::to_string(i + 1) + " experiments");
-        break;
-      }
+    if (monitor_ != nullptr &&
+        !monitor_->OnExperiment(i + 1, campaign_.num_experiments,
+                                logged.value())) {
+      util::Log::Info("campaign " + campaign_name + " ended by user after " +
+                      std::to_string(i + 1) + " experiments");
+      break;
     }
   }
   return util::Status::Ok();
@@ -442,7 +447,7 @@ util::Status FaultInjectionAlgorithms::RerunDetailed(
   detail_log_.clear();
   GOOFI_RETURN_IF_ERROR((this->*body)());
   // Log the re-run with parentExperiment = the original experiment (§2.3).
-  return LogExperiment(experiment_name + "/detail", experiment_name);
+  return LogExperiment(experiment_name + "/detail", experiment_name).status();
 }
 
 }  // namespace goofi::core

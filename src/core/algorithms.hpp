@@ -377,9 +377,10 @@ class FaultInjectionAlgorithms {
   util::Result<std::vector<CampaignStore::ExperimentRow>> BuildRecords(
       const std::string& experiment_name, const std::string& parent);
 
-  /// Logs the just-finished experiment (and detail rows, if any).
-  util::Status LogExperiment(const std::string& experiment_name,
-                             const std::string& parent);
+  /// Logs the just-finished experiment (and detail rows, if any); returns
+  /// the main row's state.
+  util::Result<LoggedState> LogExperiment(const std::string& experiment_name,
+                                          const std::string& parent);
 
   std::vector<FaultCandidate> fault_space_;
 

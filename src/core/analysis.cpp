@@ -1,6 +1,7 @@
 #include "core/analysis.hpp"
 
 #include <cmath>
+#include <functional>
 
 #include "util/strings.hpp"
 
@@ -108,12 +109,13 @@ namespace {
 
 /// Extracts the location group of an experiment's first fault from its
 /// experimentData column.
-std::string LocationGroupOf(const std::string& experiment_data) {
-  for (const std::string& field : util::Split(experiment_data, ';')) {
+std::string LocationGroupOf(std::string_view experiment_data) {
+  util::FieldCursor fields(experiment_data, ';');
+  for (std::string_view field; fields.Next(&field);) {
     if (!util::StartsWith(field, "faults=")) continue;
-    const std::string list = field.substr(7);
+    const std::string_view list = field.substr(7);
     if (list.empty()) return "none";
-    auto fault = FaultInstance::Parse(util::Split(list, '|')[0]);
+    auto fault = FaultInstance::Parse(list.substr(0, list.find('|')));
     if (!fault.ok()) return "unknown";
     const FaultInstance& f = fault.value();
     if (!f.IsScanFault()) {
@@ -139,40 +141,60 @@ void Accumulate(AnalysisReport* report, const ExperimentClassification& cls) {
   }
 }
 
+/// Classifies every main experiment row of a campaign against its reference
+/// run, reading the rows in place and parsing each stateVector into one
+/// reused LoggedState. Detail rows are skipped unparsed; a main row that does
+/// not parse fails the whole pass with an error naming it.
+util::Status ClassifyRows(
+    const CampaignStore& store, const std::string& campaign_name,
+    const std::function<void(const CampaignStore::ExperimentView&,
+                             const ExperimentClassification&)>& fn) {
+  auto reference = store.GetExperiment(CampaignStore::ReferenceName(campaign_name));
+  if (!reference.ok()) return reference.status();
+  const CampaignStore::ExperimentRow& ref = reference.value();
+  LoggedState state;
+  return store.ForEachExperimentOf(
+      campaign_name, [&](const CampaignStore::ExperimentView& row) {
+        if (!row.parent_experiment.empty()) return util::Status::Ok();
+        if (row.experiment_name == ref.experiment_name) {
+          return util::Status::Ok();
+        }
+        const util::Status parsed = LoggedState::ParseInto(row.state_text, &state);
+        if (!parsed.ok()) {
+          return util::ParseError("experiment " + std::string(row.experiment_name) +
+                                  ": " + parsed.message());
+        }
+        fn(row, Classify(ref.state, state));
+        return util::Status::Ok();
+      });
+}
+
 }  // namespace
 
 util::Result<AnalysisReport> AnalyzeCampaign(const CampaignStore& store,
                                              const std::string& campaign_name) {
-  auto reference = store.GetExperiment(CampaignStore::ReferenceName(campaign_name));
-  if (!reference.ok()) return reference.status();
-  auto rows = store.ExperimentsOf(campaign_name);
-  if (!rows.ok()) return rows.status();
-
   AnalysisReport report;
   report.campaign = campaign_name;
-  for (const CampaignStore::ExperimentRow& row : rows.value()) {
-    if (!row.parent_experiment.empty()) continue;  // detail rows
-    if (row.experiment_name == reference.value().experiment_name) continue;
-    Accumulate(&report, Classify(reference.value().state, row.state));
-  }
+  GOOFI_RETURN_IF_ERROR(ClassifyRows(
+      store, campaign_name,
+      [&report](const CampaignStore::ExperimentView&,
+                const ExperimentClassification& cls) {
+        Accumulate(&report, cls);
+      }));
   return report;
 }
 
 util::Result<std::map<std::string, AnalysisReport>> AnalyzeByLocationGroup(
     const CampaignStore& store, const std::string& campaign_name) {
-  auto reference = store.GetExperiment(CampaignStore::ReferenceName(campaign_name));
-  if (!reference.ok()) return reference.status();
-  auto rows = store.ExperimentsOf(campaign_name);
-  if (!rows.ok()) return rows.status();
-
   std::map<std::string, AnalysisReport> by_group;
-  for (const CampaignStore::ExperimentRow& row : rows.value()) {
-    if (!row.parent_experiment.empty()) continue;
-    if (row.experiment_name == reference.value().experiment_name) continue;
-    AnalysisReport& report = by_group[LocationGroupOf(row.experiment_data)];
-    if (report.campaign.empty()) report.campaign = campaign_name;
-    Accumulate(&report, Classify(reference.value().state, row.state));
-  }
+  GOOFI_RETURN_IF_ERROR(ClassifyRows(
+      store, campaign_name,
+      [&](const CampaignStore::ExperimentView& row,
+          const ExperimentClassification& cls) {
+        AnalysisReport& report = by_group[LocationGroupOf(row.experiment_data)];
+        if (report.campaign.empty()) report.campaign = campaign_name;
+        Accumulate(&report, cls);
+      }));
   return by_group;
 }
 

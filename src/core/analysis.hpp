@@ -67,15 +67,20 @@ struct AnalysisReport {
   std::string ToString() const;
 };
 
-/// Classifies every experiment of a campaign against its reference run.
-/// Detail rows (parentExperiment set) are excluded.
+/// Classifies every experiment of a campaign against its reference run,
+/// reading the rows in place. Detail rows (parentExperiment set) are
+/// excluded and not parsed. A main experiment row whose stateVector does not
+/// parse fails the analysis with a ParseError naming that row; it is never
+/// skipped. (Before rows were read in place, the analysis went through
+/// ExperimentsOf, which failed on any malformed row of the campaign, detail
+/// rows included.)
 util::Result<AnalysisReport> AnalyzeCampaign(const CampaignStore& store,
                                              const std::string& campaign_name);
 
 /// Same, broken down by fault-location group (the part of the injected
 /// cell's name before the first '.', e.g. "regfile", "icache", or
 /// "memory.text"). Experiments with multiple faults count under their first
-/// fault's group.
+/// fault's group. Same row and error rules as AnalyzeCampaign.
 util::Result<std::map<std::string, AnalysisReport>> AnalyzeByLocationGroup(
     const CampaignStore& store, const std::string& campaign_name);
 

@@ -1,5 +1,7 @@
 #include "core/campaign_store.hpp"
 
+#include <cassert>
+
 #include "db/archive.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
@@ -272,19 +274,35 @@ std::string CampaignStore::ExperimentName(const std::string& campaign_name,
   return util::Format("%s/e%04d", campaign_name.c_str(), index);
 }
 
+namespace {
+
+// The row's stateVector: its carried text, which debug builds check against
+// the state it was built from, or else the state serialized here.
+std::string StateTextOf(const CampaignStore::ExperimentRow& row) {
+  if (row.state_text.empty()) return row.state.Serialize();
+  assert(row.state_text == row.state.Serialize());
+  return row.state_text;
+}
+
+Row ToDbRow(const CampaignStore::ExperimentRow& row) {
+  return {Value::Text(row.experiment_name),
+          row.parent_experiment.empty() ? Value::Null()
+                                        : Value::Text(row.parent_experiment),
+          Value::Text(row.campaign_name), Value::Text(row.experiment_data),
+          Value::Text(StateTextOf(row))};
+}
+
+std::string_view TextOrEmpty(const Value& value) {
+  return value.is_null() ? std::string_view() : value.as_text();
+}
+
+}  // namespace
+
 util::Status CampaignStore::PutExperiments(
     const std::vector<ExperimentRow>& rows) {
   std::vector<Row> db_rows;
   db_rows.reserve(rows.size());
-  for (const ExperimentRow& row : rows) {
-    db_rows.push_back({Value::Text(row.experiment_name),
-                       row.parent_experiment.empty()
-                           ? Value::Null()
-                           : Value::Text(row.parent_experiment),
-                       Value::Text(row.campaign_name),
-                       Value::Text(row.experiment_data),
-                       Value::Text(row.state.Serialize())});
-  }
+  for (const ExperimentRow& row : rows) db_rows.push_back(ToDbRow(row));
   GOOFI_RETURN_IF_ERROR(
       database_->InsertBatch("LoggedSystemState", std::move(db_rows)));
   // Durability point: the whole batch becomes one WAL group commit. Under
@@ -294,21 +312,54 @@ util::Status CampaignStore::PutExperiments(
   return util::Status::Ok();
 }
 
+util::Status CampaignStore::PutExperiment(const ExperimentRow& row) {
+  // Bound prepared statement: the INSERT is parsed once per store lifetime
+  // even though the serial driver calls this once per experiment.
+  auto result = cache_.Execute(
+      *database_, "INSERT INTO LoggedSystemState VALUES (?, ?, ?, ?, ?)",
+      ToDbRow(row));
+  GOOFI_RETURN_IF_ERROR(result.status());
+  if (archive_ != nullptr) return archive_->Commit();
+  return util::Status::Ok();
+}
+
 util::Status CampaignStore::PutExperiment(const std::string& experiment_name,
                                           const std::string& parent_experiment,
                                           const std::string& campaign_name,
                                           const std::string& experiment_data,
                                           const LoggedState& state) {
-  // Bound prepared statement: the INSERT is parsed once per store lifetime
-  // even though the serial driver calls this once per experiment.
-  auto result = cache_.Execute(
-      *database_, "INSERT INTO LoggedSystemState VALUES (?, ?, ?, ?, ?)",
-      {Value::Text(experiment_name),
-       parent_experiment.empty() ? Value::Null() : Value::Text(parent_experiment),
-       Value::Text(campaign_name), Value::Text(experiment_data),
-       Value::Text(state.Serialize())});
-  GOOFI_RETURN_IF_ERROR(result.status());
-  if (archive_ != nullptr) return archive_->Commit();
+  return PutExperiment(ExperimentRow{experiment_name, parent_experiment,
+                                     campaign_name, experiment_data, state});
+}
+
+bool CampaignStore::HasExperiment(const std::string& name) const {
+  return database_->GetTable("LoggedSystemState")
+      ->FindByPrimaryKey({Value::Text(name)})
+      .has_value();
+}
+
+util::Status CampaignStore::ForEachExperimentOf(
+    const std::string& campaign_name,
+    const std::function<util::Status(const ExperimentView&)>& fn) const {
+  const db::Table* table = database_->GetTable("LoggedSystemState");
+  const std::vector<Row>& slots = table->slots();
+  auto visit = [&fn](const Row& row) {
+    return fn({row[0].as_text(), TextOrEmpty(row[1]), TextOrEmpty(row[3]),
+               TextOrEmpty(row[4])});
+  };
+  if (const db::SecondaryIndex* index = table->FindIndex("idx_lss_campaign")) {
+    for (const size_t slot :
+         table->IndexEqualSlots(*index, {Value::Text(campaign_name)})) {
+      GOOFI_RETURN_IF_ERROR(visit(slots[slot]));
+    }
+    return util::Status::Ok();
+  }
+  // No index (a loaded database before EnsureSchema): scan in slot order.
+  for (size_t slot = 0; slot < slots.size(); ++slot) {
+    if (table->live()[slot] && slots[slot][2].as_text() == campaign_name) {
+      GOOFI_RETURN_IF_ERROR(visit(slots[slot]));
+    }
+  }
   return util::Status::Ok();
 }
 
@@ -323,7 +374,7 @@ util::Result<CampaignStore::ExperimentRow> CampaignStore::GetExperiment(
   out.parent_experiment = row[1].is_null() ? "" : row[1].as_text();
   out.campaign_name = row[2].as_text();
   out.experiment_data = row[3].is_null() ? "" : row[3].as_text();
-  auto state = LoggedState::Deserialize(row[4].is_null() ? "" : row[4].as_text());
+  auto state = LoggedState::Deserialize(TextOrEmpty(row[4]));
   if (!state.ok()) return state.status();
   out.state = std::move(state).value();
   return out;
@@ -342,8 +393,7 @@ CampaignStore::ExperimentQuery(const std::string& sql,
     out.parent_experiment = row[1].is_null() ? "" : row[1].as_text();
     out.campaign_name = row[2].as_text();
     out.experiment_data = row[3].is_null() ? "" : row[3].as_text();
-    auto state =
-        LoggedState::Deserialize(row[4].is_null() ? "" : row[4].as_text());
+    auto state = LoggedState::Deserialize(TextOrEmpty(row[4]));
     if (!state.ok()) return state.status();
     out.state = std::move(state).value();
     rows.push_back(std::move(out));

@@ -11,7 +11,9 @@
 // (§2.3) — the embedded engine enforces them on insert and delete.
 #pragma once
 
+#include <functional>
 #include <optional>
+#include <string_view>
 
 #include "core/types.hpp"
 #include "db/database.hpp"
@@ -86,7 +88,13 @@ class CampaignStore {
     std::string campaign_name;
     std::string experiment_data;
     LoggedState state;
+    /// `state` as stored in stateVector (LoggedState::Serialize bytes),
+    /// built once where the row is made and stored as is. Empty when the
+    /// row's maker did not build it; the store then serializes `state`.
+    std::string state_text{};
   };
+
+  util::Status PutExperiment(const ExperimentRow& row);
 
   /// Batched insert into LoggedSystemState: one schema/foreign-key resolution
   /// for the whole batch instead of one per row, and all-or-nothing semantics
@@ -94,7 +102,26 @@ class CampaignStore {
   /// Rows may reference earlier rows of the same batch via parentExperiment.
   util::Status PutExperiments(const std::vector<ExperimentRow>& rows);
 
+  /// Whether a row named `name` is logged; reads the key only, so a row
+  /// whose stateVector does not parse still counts.
+  bool HasExperiment(const std::string& name) const;
+
   util::Result<ExperimentRow> GetExperiment(const std::string& name) const;
+  /// One LoggedSystemState row read in place: views into the table's
+  /// storage, valid during the ForEachExperimentOf callback only.
+  struct ExperimentView {
+    std::string_view experiment_name;
+    std::string_view parent_experiment;  ///< empty when NULL
+    std::string_view experiment_data;
+    std::string_view state_text;         ///< the stateVector column
+  };
+  /// Calls `fn` on every row of a campaign in insertion order, read in place
+  /// from the idx_lss_campaign posting list: no row is copied or parsed.
+  /// Stops at, and returns, the first error `fn` returns.
+  util::Status ForEachExperimentOf(
+      const std::string& campaign_name,
+      const std::function<util::Status(const ExperimentView&)>& fn) const;
+
   /// All experiments of a campaign, in insertion order.
   util::Result<std::vector<ExperimentRow>> ExperimentsOf(
       const std::string& campaign_name) const;

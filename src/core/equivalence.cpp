@@ -151,7 +151,8 @@ std::vector<CampaignStore::ExperimentRow> SynthesizeMemberRows(
   rows.push_back({name, "", campaign.name,
                   FaultInjectionAlgorithms::ExperimentData(campaign.technique,
                                                            member_faults),
-                  representative_rows.front().state});
+                  representative_rows.front().state,
+                  representative_rows.front().state_text});
   // Detail rows: the representative's rows strictly past the member's
   // injection time (the member's machine is byte-identical to the
   // representative's from there on; rows at or before it belong to the
@@ -171,7 +172,7 @@ std::vector<CampaignStore::ExperimentRow> SynthesizeMemberRows(
   size_t i = 0;
   for (auto it = begin; it != representative_rows.end(); ++it, ++i) {
     rows.push_back({util::Format("%s/d%06zu", name.c_str(), i), name,
-                    campaign.name, "detail_step", it->state});
+                    campaign.name, "detail_step", it->state, it->state_text});
   }
   return rows;
 }

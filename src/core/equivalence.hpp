@@ -142,8 +142,8 @@ class EquivalenceClasser {
 /// row gets the member's experiment name and its own serialized fault list;
 /// detail rows become the representative's suffix strictly past the member's
 /// injection time (or a verbatim copy when `suffix_filtered` is false),
-/// renumbered under the member's name. Everything else is invariant — see
-/// DESIGN.md for the proof.
+/// renumbered under the member's name. Everything else, the state and its
+/// stateVector text included, is copied as is — see DESIGN.md for the proof.
 std::vector<CampaignStore::ExperimentRow> SynthesizeMemberRows(
     const std::vector<CampaignStore::ExperimentRow>& representative_rows,
     const CampaignData& campaign, int member_index,

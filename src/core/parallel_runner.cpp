@@ -29,7 +29,7 @@ struct Slot {
 };
 
 /// Digest of a full result-row set for spot-check comparison: name, parent,
-/// campaign, data and serialized state of every row, order-sensitive. The
+/// campaign, data and stateVector text of every row, order-sensitive. The
 /// capture blob makes equal hashes mean equal rows.
 void HashRows(const std::vector<CampaignStore::ExperimentRow>& rows,
               cpu::StateHasher* hasher) {
@@ -39,7 +39,7 @@ void HashRows(const std::vector<CampaignStore::ExperimentRow>& rows,
     hasher->Str(row.parent_experiment);
     hasher->Str(row.campaign_name);
     hasher->Str(row.experiment_data);
-    hasher->Str(row.state.Serialize());
+    hasher->Str(row.state_text);
   }
 }
 
@@ -83,14 +83,13 @@ util::Status ParallelCampaignRunner::Run(const std::string& campaign_name) {
   if (store_->archive() != nullptr) wal_group.emplace(store_->archive());
 
   // Resume semantics (Fig. 7 restart): experiments already in the database
-  // are skipped before dispatch, exactly like the serial driver.
+  // are skipped before dispatch, exactly like the serial driver, by key.
   const bool need_reference =
-      !store_->GetExperiment(CampaignStore::ReferenceName(campaign.name)).ok();
+      !store_->HasExperiment(CampaignStore::ReferenceName(campaign.name));
   std::vector<int> pending;
   pending.reserve(static_cast<size_t>(std::max(0, campaign.num_experiments)));
   for (int i = 0; i < campaign.num_experiments; ++i) {
-    if (store_->GetExperiment(CampaignStore::ExperimentName(campaign.name, i))
-            .ok()) {
+    if (store_->HasExperiment(CampaignStore::ExperimentName(campaign.name, i))) {
       ++stats_.experiments_resumed;
     } else {
       pending.push_back(i);

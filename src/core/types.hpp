@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/bitvec.hpp"
@@ -125,7 +126,7 @@ struct FaultInstance {
   /// Machine-readable round-trip form, stored in the experimentData column
   /// so an experiment can be re-run exactly (parentExperiment re-runs, §2.3).
   std::string Serialize() const;
-  static util::Result<FaultInstance> Parse(const std::string& text);
+  static util::Result<FaultInstance> Parse(std::string_view text);
 };
 
 /// The observed system state logged for one experiment (the stateVector
@@ -143,9 +144,18 @@ struct LoggedState {
   std::vector<uint32_t> outputs;  ///< result words / actuator-trace checksum
   std::map<std::string, std::string> scan_images;  ///< chain -> bit string
 
+  bool operator==(const LoggedState&) const = default;
+
   /// Compact key=value serialization for the database TEXT column.
   std::string Serialize() const;
-  static util::Result<LoggedState> Deserialize(const std::string& text);
+  /// Appends the Serialize() bytes to `out`.
+  void AppendTo(std::string* out) const;
+  static util::Result<LoggedState> Deserialize(std::string_view text);
+  /// Deserialize into `*out`, reusing its storage: scan images whose chains
+  /// come in the order Serialize writes are assigned in place. On success
+  /// `*out` equals Deserialize(text), whatever it held before; on error its
+  /// contents are unspecified.
+  static util::Status ParseInto(std::string_view text, LoggedState* out);
 };
 
 /// §3.4 classification of an experiment outcome.

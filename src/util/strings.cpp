@@ -10,13 +10,8 @@ namespace goofi::util {
 
 std::vector<std::string> Split(std::string_view text, char sep) {
   std::vector<std::string> out;
-  size_t start = 0;
-  for (size_t i = 0; i <= text.size(); ++i) {
-    if (i == text.size() || text[i] == sep) {
-      out.emplace_back(text.substr(start, i - start));
-      start = i + 1;
-    }
-  }
+  FieldCursor fields(text, sep);
+  for (std::string_view field; fields.Next(&field);) out.emplace_back(field);
   return out;
 }
 
@@ -94,8 +89,8 @@ std::optional<int64_t> ParseInt(std::string_view text) {
   if (start[0] == '0' && (start[1] == 'x' || start[1] == 'X')) base = 16;
   const unsigned long long raw = std::strtoull(start, &end, base);
   if (errno != 0 || end == start || *end != '\0') return std::nullopt;
-  const int64_t value = static_cast<int64_t>(raw);
-  return negative ? -value : value;
+  // Negate in unsigned arithmetic: "-9223372036854775808" must not overflow.
+  return static_cast<int64_t>(negative ? 0 - raw : raw);
 }
 
 std::optional<double> ParseDouble(std::string_view text) {

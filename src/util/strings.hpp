@@ -13,6 +13,28 @@ namespace goofi::util {
 /// Splits on a single character; empty fields are preserved.
 std::vector<std::string> Split(std::string_view text, char sep);
 
+/// Walks the fields of `text` split on `sep` without copying them; Split
+/// copies out the same fields.
+class FieldCursor {
+ public:
+  FieldCursor(std::string_view text, char sep) : text_(text), sep_(sep) {}
+
+  /// Sets `*field` to the next field; false once every field was returned.
+  bool Next(std::string_view* field) {
+    if (pos_ > text_.size()) return false;
+    size_t end = text_.find(sep_, pos_);
+    if (end == std::string_view::npos) end = text_.size();
+    *field = text_.substr(pos_, end - pos_);
+    pos_ = end + 1;
+    return true;
+  }
+
+ private:
+  std::string_view text_;
+  char sep_;
+  size_t pos_ = 0;
+};
+
 /// Splits on runs of whitespace; empty fields are dropped.
 std::vector<std::string> SplitWhitespace(std::string_view text);
 

@@ -2,7 +2,10 @@
 // aggregation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/analysis.hpp"
+#include "util/strings.hpp"
 
 namespace goofi::core {
 namespace {
@@ -134,6 +137,20 @@ class AnalyzeCampaignTest : public ::testing::Test {
     ASSERT_TRUE(store_.PutExperiment(name, parent, "c", data, state).ok());
   }
 
+  /// Logs a row with a raw stateVector text, as an external writer could.
+  void AddRaw(const std::string& name, const std::string& parent,
+              const std::string& data, const std::string& state_vector) {
+    ASSERT_TRUE(store_.statement_cache()
+                    .Execute(db_,
+                             "INSERT INTO LoggedSystemState VALUES (?, ?, ?, ?, ?)",
+                             {db::Value::Text(name),
+                              parent.empty() ? db::Value::Null()
+                                             : db::Value::Text(parent),
+                              db::Value::Text("c"), db::Value::Text(data),
+                              db::Value::Text(state_vector)})
+                    .ok());
+  }
+
   db::Database db_;
   CampaignStore store_;
 };
@@ -197,6 +214,65 @@ TEST_F(AnalyzeCampaignTest, ByLocationGroupSplitsOnCellPrefix) {
   EXPECT_EQ(by_group.at("core").Count(Outcome::kDetected), 1);
   EXPECT_EQ(by_group.at("regfile").Count(Outcome::kOverwritten), 1);
   EXPECT_EQ(by_group.at("memory.text").total, 1);
+}
+
+TEST_F(AnalyzeCampaignTest, MalformedMainRowIsAParseErrorNamingIt) {
+  AddExperiment("c/e0", Reference(),
+                "faults=transient_bitflip,internal_core,3,core.ir,0,0,5,0");
+  AddRaw("c/e1", "", "faults=transient_bitflip,internal_core,3,core.ir,0,0,5,0",
+         "halted=1;garbage");
+  AddExperiment("c/e2", Reference());
+  const auto report = AnalyzeCampaign(store_, "c");
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), util::StatusCode::kParseError);
+  EXPECT_NE(report.status().message().find("c/e1"), std::string::npos)
+      << report.status().ToString();
+  const auto by_group = AnalyzeByLocationGroup(store_, "c");
+  ASSERT_FALSE(by_group.ok());
+  EXPECT_EQ(by_group.status(), report.status());
+}
+
+TEST_F(AnalyzeCampaignTest, MalformedDetailRowIsNotParsed) {
+  AddExperiment("c/e0", Reference(), "f");
+  AddRaw("c/e0/d0", "c/e0", "detail_step", "garbage");
+  // Detail rows are not classified, so their stateVector is never read;
+  // ExperimentsOf, which parses every row, still refuses the campaign.
+  EXPECT_EQ(AnalyzeCampaign(store_, "c").ValueOrDie().total, 1);
+  EXPECT_EQ(AnalyzeByLocationGroup(store_, "c").ValueOrDie().at("none").total, 1);
+  EXPECT_FALSE(store_.ExperimentsOf("c").ok());
+}
+
+TEST_F(AnalyzeCampaignTest, ReorderedKeysClassifyLikeDeserializeAndClassify) {
+  const LoggedState reference = Reference();
+  // Every key of the reference, scan image first and the rest reversed.
+  std::vector<std::string> pairs = util::Split(reference.Serialize(), ';');
+  pairs.pop_back();  // the empty field after the final ';'
+  std::reverse(pairs.begin(), pairs.end());
+  AddRaw("c/e0", "", "", util::Join(pairs, ";"));
+  // Chains out of Serialize's order: the extra chain makes the row latent.
+  AddRaw("c/e1", "", "",
+         "scan.internal_core=0101;scan.boundary=11;halted=1;cycles=1000;"
+         "instret=800;outputs=00001234;");
+  // A repeated chain: the last image wins.
+  AddRaw("c/e2", "", "",
+         "halted=1;outputs=00001234;scan.internal_core=1111;"
+         "scan.internal_core=0101;");
+  AddRaw("c/e3", "", "",
+         "scan.internal_core=0101;halted=1;outputs=00001234;scan.a=1;");
+
+  AnalysisReport expected;
+  for (const CampaignStore::ExperimentRow& row :
+       store_.ExperimentsOf("c").ValueOrDie()) {
+    if (row.experiment_name == CampaignStore::ReferenceName("c")) continue;
+    const ExperimentClassification cls = Classify(reference, row.state);
+    ++expected.total;
+    ++expected.by_outcome[cls.outcome];
+  }
+  const auto report = AnalyzeCampaign(store_, "c").ValueOrDie();
+  EXPECT_EQ(report.total, expected.total);
+  EXPECT_EQ(report.by_outcome, expected.by_outcome);
+  EXPECT_EQ(report.Count(Outcome::kOverwritten), 2);
+  EXPECT_EQ(report.Count(Outcome::kLatent), 2);
 }
 
 }  // namespace

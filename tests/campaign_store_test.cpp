@@ -165,6 +165,57 @@ TEST_F(CampaignStoreTest, ExperimentsOfFiltersByCampaign) {
   EXPECT_TRUE(store_.ExperimentsOf("none").ValueOrDie().empty());
 }
 
+TEST_F(CampaignStoreTest, ForEachExperimentOfReadsRowsInPlaceInInsertionOrder) {
+  ASSERT_TRUE(store_.PutTargetSystem(Target()).ok());
+  ASSERT_TRUE(store_.PutCampaign(Campaign("a")).ok());
+  ASSERT_TRUE(store_.PutCampaign(Campaign("b")).ok());
+  LoggedState state;
+  state.outputs = {7};
+  ASSERT_TRUE(store_.PutExperiment("a/e1", "", "a", "d1", state).ok());
+  ASSERT_TRUE(store_.PutExperiment("b/e0", "", "b", "", LoggedState{}).ok());
+  ASSERT_TRUE(store_.PutExperiment("a/e0", "", "a", "d0", LoggedState{}).ok());
+  ASSERT_TRUE(
+      store_.PutExperiment("a/e1/d0", "a/e1", "a", "detail_step", state).ok());
+  const auto expected = store_.ExperimentsOf("a").ValueOrDie();
+  auto collect = [this]() {
+    std::vector<std::string> seen;
+    EXPECT_TRUE(store_
+                    .ForEachExperimentOf(
+                        "a",
+                        [&seen](const CampaignStore::ExperimentView& row) {
+                          seen.push_back(std::string(row.experiment_name) + "|" +
+                                         std::string(row.parent_experiment) +
+                                         "|" + std::string(row.experiment_data) +
+                                         "|" + std::string(row.state_text));
+                          return util::Status::Ok();
+                        })
+                    .ok());
+    return seen;
+  };
+  std::vector<std::string> want;
+  for (const CampaignStore::ExperimentRow& row : expected) {
+    want.push_back(row.experiment_name + "|" + row.parent_experiment + "|" +
+                   row.experiment_data + "|" + row.state.Serialize());
+  }
+  ASSERT_EQ(want.size(), 3u);
+  EXPECT_EQ(collect(), want);
+  // Without the campaign index (a database loaded before EnsureSchema ran
+  // again) the walk scans the table and sees the same rows.
+  ASSERT_TRUE(db_.DropIndex("LoggedSystemState", "idx_lss_campaign").ok());
+  EXPECT_EQ(collect(), want);
+  // The callback's first error stops the walk and is returned.
+  int calls = 0;
+  const util::Status stopped = store_.ForEachExperimentOf(
+      "a", [&calls](const CampaignStore::ExperimentView&) {
+        ++calls;
+        return util::Internal("stop");
+      });
+  EXPECT_EQ(stopped, util::Internal("stop"));
+  EXPECT_EQ(calls, 1);
+  EXPECT_TRUE(store_.HasExperiment("a/e1/d0"));
+  EXPECT_FALSE(store_.HasExperiment("a/e2"));
+}
+
 TEST_F(CampaignStoreTest, DuplicateExperimentNameRejected) {
   ASSERT_TRUE(store_.PutTargetSystem(Target()).ok());
   ASSERT_TRUE(store_.PutCampaign(Campaign()).ok());

@@ -259,6 +259,87 @@ TEST(ParallelRunnerTest, ResumeSkipsLoggedExperimentsAndCompletesCampaign) {
   }
 }
 
+TEST(ParallelRunnerTest, ResumeCountsMalformedLoggedRowAsDone) {
+  const CampaignData campaign = DenseScifiCampaign();
+  const std::string damaged = CampaignStore::ExperimentName(campaign.name, 1);
+  for (bool composed : kBothPaths) {
+    SCOPED_TRACE(composed ? "composed" : "plain");
+    Session session(campaign);
+    testcard::SimTestCard card;
+    ThorRdTarget target(&session.store, &card);
+    CountingMonitor stopper(/*limit=*/3);
+    target.SetProgressMonitor(&stopper);
+    ASSERT_TRUE(target.RunCampaign(campaign.name).ok());
+    ASSERT_TRUE(session.store.statement_cache()
+                    .Execute(session.db,
+                             "UPDATE LoggedSystemState SET stateVector = "
+                             "'garbage' WHERE experimentName = ?",
+                             {db::Value::Text(damaged)})
+                    .ok());
+
+    ParallelCampaignRunner runner(&session.store,
+                                  MakeSimThorFactory(&session.store), 3);
+    if (composed) Compose(runner, campaign);
+    const util::Status resumed = runner.Run(campaign.name);
+    ASSERT_TRUE(resumed.ok()) << resumed.ToString();
+    EXPECT_EQ(runner.stats().experiments_resumed, 3);
+    EXPECT_EQ(runner.stats().experiments_run, campaign.num_experiments - 3);
+    EXPECT_EQ(session.db.GetTable("LoggedSystemState")->size(),
+              static_cast<size_t>(campaign.num_experiments + 1));
+    const auto report = AnalyzeCampaign(session.store, campaign.name);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), util::StatusCode::kParseError);
+    EXPECT_NE(report.status().message().find(damaged), std::string::npos)
+        << report.status().ToString();
+  }
+}
+
+/// Records the state handed over with every progress callback.
+class RecordingMonitor final : public ProgressMonitor {
+ public:
+  bool OnExperiment(int done, int, const LoggedState& last) override {
+    states.emplace_back(done, last);
+    return true;
+  }
+  std::vector<std::pair<int, LoggedState>> states;
+};
+
+/// Each callback's state equals the logged row of that experiment, as the
+/// store reads it back.
+void ExpectMonitorSawLoggedStates(const RecordingMonitor& monitor,
+                                  const RunResult& result,
+                                  const CampaignData& campaign) {
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  ASSERT_EQ(monitor.states.size(),
+            static_cast<size_t>(campaign.num_experiments));
+  for (const auto& [done, state] : monitor.states) {
+    const std::string name = CampaignStore::ExperimentName(campaign.name, done - 1);
+    const auto row = std::find_if(
+        result.rows.begin(), result.rows.end(),
+        [&name](const CampaignStore::ExperimentRow& r) {
+          return r.experiment_name == name;
+        });
+    ASSERT_NE(row, result.rows.end()) << name;
+    EXPECT_EQ(state, row->state) << name;
+  }
+}
+
+TEST(ParallelRunnerTest, MonitorReceivesTheLoggedState) {
+  for (const CampaignData& campaign : {DenseScifiCampaign(), SwifiCampaign()}) {
+    SCOPED_TRACE(campaign.name);
+    RecordingMonitor serial_monitor;
+    ExpectMonitorSawLoggedStates(serial_monitor,
+                                 RunSerial(campaign, &serial_monitor), campaign);
+    for (bool composed : kBothPaths) {
+      SCOPED_TRACE(composed ? "composed" : "plain");
+      RecordingMonitor monitor;
+      ExpectMonitorSawLoggedStates(
+          monitor, RunParallel(campaign, 3, /*batch_rows=*/0, &monitor, composed),
+          campaign);
+    }
+  }
+}
+
 TEST(ParallelRunnerTest, EarlyStopMatchesSeriallyStoppedRun) {
   const CampaignData campaign = DenseScifiCampaign();
   CountingMonitor serial_stopper(/*limit=*/4);

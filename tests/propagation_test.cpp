@@ -154,6 +154,31 @@ TEST_F(ResumeTest, ResumedExperimentsMatchUninterruptedRun) {
   }
 }
 
+TEST_F(ResumeTest, MalformedLoggedRowCountsAsResumed) {
+  CountingMonitor stopper(/*limit=*/3);
+  target_.SetProgressMonitor(&stopper);
+  ASSERT_TRUE(target_.FaultInjectorScifi("resume").ok());
+  target_.SetProgressMonitor(nullptr);
+  ASSERT_TRUE(store_.statement_cache()
+                  .Execute(db_,
+                           "UPDATE LoggedSystemState SET stateVector = 'garbage' "
+                           "WHERE experimentName = 'resume/e0001'")
+                  .ok());
+
+  // The row is logged, so the resume skips it instead of re-running it into
+  // a duplicate key; the analysis then reports the damaged row.
+  const util::Status resumed = target_.FaultInjectorScifi("resume");
+  ASSERT_TRUE(resumed.ok()) << resumed.ToString();
+  EXPECT_EQ(target_.stats().experiments_resumed, 3);
+  EXPECT_EQ(target_.stats().experiments_run, 17);
+  EXPECT_EQ(db_.GetTable("LoggedSystemState")->size(), 21u);
+  const auto report = AnalyzeCampaign(store_, "resume");
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), util::StatusCode::kParseError);
+  EXPECT_NE(report.status().message().find("resume/e0001"), std::string::npos)
+      << report.status().ToString();
+}
+
 TEST_F(ResumeTest, CompletedCampaignRerunIsANoOp) {
   ASSERT_TRUE(target_.FaultInjectorScifi("resume").ok());
   ASSERT_TRUE(target_.FaultInjectorScifi("resume").ok());
